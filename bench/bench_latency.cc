@@ -1,7 +1,7 @@
 // Measured-latency plane on the 4×4 grid workload: per-query end-to-end
-// p50/p99 under (a) the thread-parallel executor and (b) the tcp
-// transport with one OS process per partition (histogram shards merged
-// through the report pipe), plus a serial stamping-overhead pair (the
+// p50/p99 under (a) the partitioned runtime's in-process channel and (b)
+// its wire channel over tcp with one OS process per partition (histogram
+// shards merged through the report pipe), plus a serial stamping-overhead pair (the
 // same record-path run with measure_latency on and off) that CI gates on.
 //
 // Output is `key=value` lines; pipe through tools/bench_to_json to
@@ -139,19 +139,22 @@ int main(int argc, char** argv) {
                     : 0.0);
   }
 
-  // --- Thread mode: peer-partitioned parallel executor, shared address
-  // space, sinks observe straight into the process-local histograms.
+  // --- Thread mode: the partitioned runtime's in-process channel, shared
+  // address space, sinks observe straight into the process-local
+  // histograms.
   obs::MetricsRegistry::Default().ResetAll();
   {
+    sharing::SystemConfig thread_config = config;
+    thread_config.executor = sharing::ExecutorKind::kParallel;
     Result<std::unique_ptr<sharing::StreamShareSystem>> system =
-        Deploy(scenario, config);
+        Deploy(scenario, thread_config);
     if (!system.ok()) {
       std::fprintf(stderr, "deploy failed: %s\n",
                    system.status().ToString().c_str());
       return 1;
     }
     Clock::time_point start = Clock::now();
-    Status status = (*system)->RunParallel(items);
+    Status status = (*system)->Run(items);
     double elapsed = SecondsSince(start);
     if (!status.ok()) {
       std::fprintf(stderr, "thread run failed: %s\n",
@@ -169,6 +172,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry::Default().ResetAll();
   {
     sharing::SystemConfig tcp_config = config;
+    tcp_config.executor = sharing::ExecutorKind::kTransport;
     tcp_config.transport = "tcp";
     tcp_config.transport_processes = true;
     Result<std::unique_ptr<sharing::StreamShareSystem>> system =
@@ -179,7 +183,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     Clock::time_point start = Clock::now();
-    Status status = (*system)->RunTransport(items);
+    Status status = (*system)->Run(items);
     double elapsed = SecondsSince(start);
     if (!status.ok()) {
       std::fprintf(stderr, "tcp-process run failed: %s\n",

@@ -54,13 +54,15 @@ int main(int argc, char** argv) {
 
   sharing::SystemConfig dom_config = config;
   dom_config.record_path = false;  // the pre-record DOM baseline
+  sharing::SystemConfig parallel_config = config;
+  parallel_config.executor = sharing::ExecutorKind::kParallel;
 
   Result<std::unique_ptr<sharing::StreamShareSystem>> serial =
       Deploy(scenario, config);
   Result<std::unique_ptr<sharing::StreamShareSystem>> serial_dom =
       Deploy(scenario, dom_config);
   Result<std::unique_ptr<sharing::StreamShareSystem>> parallel =
-      Deploy(scenario, config);
+      Deploy(scenario, parallel_config);
   if (!serial.ok() || !serial_dom.ok() || !parallel.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n",
                  (!serial.ok()   ? serial
@@ -117,7 +119,7 @@ int main(int argc, char** argv) {
   }
 
   start = Clock::now();
-  status = (*parallel)->RunParallel(items);
+  status = (*parallel)->Run(items);
   double parallel_s = SecondsSince(start);
   if (!status.ok()) {
     std::fprintf(stderr, "parallel run failed: %s\n",

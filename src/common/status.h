@@ -41,8 +41,8 @@ std::string_view StatusCodeToString(StatusCode code);
 /// The one way a context string prefixes a message in this codebase:
 /// "outer: inner", with empty sides collapsing to the other. Used by
 /// Status::WithContext, Status::ToString, and the obs event log, so error
-/// strings from the serial and the parallel executor (and log lines that
-/// quote them) all chain identically.
+/// strings from the serial executor and the partitioned runtime (and log
+/// lines that quote them) all chain identically.
 std::string JoinContext(std::string_view outer, std::string_view inner);
 
 /// The outcome of a fallible operation: either OK or an error with a code

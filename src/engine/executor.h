@@ -15,9 +15,10 @@
 namespace streamshare::engine {
 
 /// Canonical context prefix for a Status escaping `op` during `action`
-/// ("push" or "finish"): "<action> <label>". Both the serial and the
-/// parallel executor wrap operator failures through WrapOperatorFailure,
-/// so a failing query reports the same string either way.
+/// ("push" or "finish"): "<action> <label>". Both the serial executor
+/// and the partitioned runtime wrap operator failures through
+/// WrapOperatorFailure, so a failing query reports the same string
+/// either way.
 std::string OperatorContext(std::string_view action, const Operator& op);
 
 /// Prefixes `status` with OperatorContext and emits an error event to the

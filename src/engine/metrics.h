@@ -20,7 +20,7 @@ class Metrics {
       : bytes_per_link_(topology.link_count(), 0),
         work_per_peer_(topology.peer_count(), 0.0),
         items_per_peer_(topology.peer_count(), 0) {}
-  /// A zeroed shard shaped like `other` — the parallel executor gives
+  /// A zeroed shard shaped like `other` — the partitioned runtime gives
   /// every worker one so the hot path stays free of atomics and merges
   /// the shards at end of stream.
   static Metrics ShardLike(const Metrics& other) {

@@ -49,8 +49,8 @@ class Operator {
         downstreams_.end());
   }
   /// Swaps `from` for `to` in place, preserving emission order. Used by
-  /// the parallel executor to splice queue ports into cross-peer edges
-  /// (and to splice the original consumers back afterwards).
+  /// the partitioned runtime to splice channel ports into cross-peer
+  /// edges (and to splice the original consumers back afterwards).
   void ReplaceDownstream(Operator* from, Operator* to) {
     std::replace(downstreams_.begin(), downstreams_.end(), from, to);
   }
@@ -67,8 +67,8 @@ class Operator {
     if (metrics_ != nullptr) out->push_back(metrics_);
   }
   /// Redirects every metrics pointer currently equal to `from` to `to` —
-  /// the parallel executor points operators at per-worker shards for the
-  /// duration of a run, then back.
+  /// the partitioned runtime points operators at per-worker shards for
+  /// the duration of a run, then back.
   virtual void RebindMetrics(Metrics* from, Metrics* to) {
     if (metrics_ == from) metrics_ = to;
   }
@@ -249,8 +249,8 @@ class SinkOp : public Operator {
 
   /// Starts folding every received item into content_hash() (an
   /// order-insensitive structural hash). Off by default so the hot path
-  /// of ordinary runs is unchanged; the transport runner enables it to
-  /// compare results across execution modes.
+  /// of ordinary runs is unchanged; forked wire workers report it so
+  /// sink contents survive the report pipe.
   void EnableContentHash() { hash_items_ = true; }
   uint64_t content_hash() const { return content_hash_; }
 

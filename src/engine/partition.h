@@ -1,11 +1,12 @@
-// Peer-partition planning for a deployed operator network, shared by the
-// in-process parallel executor and the transport layer's partitioned
-// runner. The operator graph is discovered from the entry operators,
-// every operator is resolved to the super-peer it is deployed on, and
-// operators are grouped into workers (one per peer, splitting a peer when
-// merging would close a cycle among workers) so that every cross-worker
-// handoff points down a DAG — bounded blocking on such edges cannot
-// deadlock, and the end-of-stream pill protocol terminates.
+// Peer-partition planning for the one partitioned runtime
+// (engine/runtime.h), whichever of its two channels — in-process or wire
+// — connects the workers. The operator graph is discovered from the
+// entry operators, every operator is resolved to the super-peer it is
+// deployed on, and operators are grouped into workers (one per peer,
+// splitting a peer when merging would close a cycle among workers) so
+// that every cross-worker handoff points down a DAG — bounded blocking on
+// such edges cannot deadlock, and the end-of-stream pill protocol
+// terminates.
 
 #ifndef STREAMSHARE_ENGINE_PARTITION_H_
 #define STREAMSHARE_ENGINE_PARTITION_H_
@@ -61,8 +62,8 @@ struct PartitionPlan {
 };
 
 /// Plans the peer partition of the graph reachable from `entries`.
-/// Fails on null entries. The graph is left untouched — callers splice
-/// their own ports into the cross edges.
+/// Fails on null entries. The graph is left untouched — the runtime
+/// splices its channel's ports into the cross edges.
 Status PlanPeerPartitions(const std::vector<Operator*>& entries,
                           PartitionPlan* plan);
 
@@ -71,9 +72,10 @@ Status PlanPeerPartitions(const std::vector<Operator*>& entries,
 /// contiguous segments of a topological order of the worker handoff DAG,
 /// balanced by operator count, so every surviving handoff edge still
 /// points down a DAG and the pill protocol stays deadlock-free. The
-/// in-process parallel executor applies this against hardware
-/// concurrency; the transport runner does not (its workers model distinct
-/// peers, which is semantic, not a tuning knob).
+/// runtime applies this for its in-process channel, against
+/// ParallelOptions::max_workers; its wire channel does not (there a
+/// worker models a distinct peer, which is semantic, not a tuning
+/// knob).
 void CoalesceWorkers(PartitionPlan* plan, size_t max_workers);
 
 }  // namespace streamshare::engine

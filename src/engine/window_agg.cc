@@ -290,8 +290,8 @@ Status WindowContentsOp::OnFinish() {
 }
 
 AggCombineOp::AggCombineOp(std::string label, AggregateFunc func,
-                           WindowSpec fine, WindowSpec coarse)
-    : Operator(std::move(label)), func_(func) {
+                           WindowSpec fine, WindowSpec coarse, bool resume)
+    : Operator(std::move(label)), func_(func), resume_(resume) {
   // The MatchAggregations divisibility rules guarantee exactness here.
   int scale = std::max({fine.size.scale(), fine.step.scale(),
                         coarse.size.scale(), coarse.step.scale()});
@@ -330,57 +330,57 @@ Status AggCombineOp::Process(const ItemPtr& item) {
 Status AggCombineOp::TryEmit() {
   const int64_t parts = coarse_size_steps_ / fine_size_steps_;
   while (true) {
-    // Fine windows needed for coarse window next_coarse_.
+    // Fine windows needed for coarse window next_coarse_; those below
+    // first_fine_seen_ never come (see the class comment).
     int64_t base = next_coarse_ * coarse_step_steps_;
-    bool all_present = true;
-    bool impossible = false;
-    for (int64_t t = 0; t < parts; ++t) {
-      int64_t needed = base + t * fine_size_steps_;
-      if (buffer_.find(needed) == buffer_.end()) {
-        all_present = false;
-        if (first_fine_seen_ >= 0 && needed < first_fine_seen_) {
-          impossible = true;  // the stream started after this window
-        }
-        break;
-      }
-    }
-    if (impossible) {
+    int64_t last = base + (parts - 1) * fine_size_steps_;
+    if ((resume_ ? base : last) < first_fine_seen_) {
       ++next_coarse_;
       continue;
     }
-    if (!all_present) return Status::Ok();
-
-    AggItem coarse;
-    coarse.seq = next_coarse_;
-    if (func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax) {
-      for (int64_t t = 0; t < parts; ++t) {
-        const AggItem& fine = buffer_[base + t * fine_size_steps_];
-        if (!fine.value.has_value()) continue;  // empty fine window
-        if (!coarse.value.has_value()) {
-          coarse.value = fine.value;
-        } else if (func_ == AggregateFunc::kMin) {
-          if (*fine.value < *coarse.value) coarse.value = fine.value;
-        } else {
-          if (*fine.value > *coarse.value) coarse.value = fine.value;
-        }
+    for (int64_t t = 0; t < parts; ++t) {
+      int64_t needed = base + t * fine_size_steps_;
+      if (needed >= first_fine_seen_ && buffer_.count(needed) == 0) {
+        return Status::Ok();
       }
-    } else {
-      Decimal sum;
-      int64_t count = 0;
-      for (int64_t t = 0; t < parts; ++t) {
-        const AggItem& fine = buffer_[base + t * fine_size_steps_];
-        if (fine.sum.has_value()) sum = sum + *fine.sum;
-        if (fine.count.has_value()) count += *fine.count;
-      }
-      coarse.sum = sum;
-      coarse.count = count;
     }
-    SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
+    SS_RETURN_IF_ERROR(Emit(MakeAggItem(Combine(next_coarse_))));
     ++next_coarse_;
     // Evict fine windows below the next coarse window's first need.
     buffer_.erase(buffer_.begin(),
                   buffer_.lower_bound(next_coarse_ * coarse_step_steps_));
   }
+}
+
+AggItem AggCombineOp::Combine(int64_t j) const {
+  const int64_t parts = coarse_size_steps_ / fine_size_steps_;
+  const int64_t base = j * coarse_step_steps_;
+  AggItem coarse;
+  coarse.seq = j;
+  if (func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax) {
+    for (int64_t t = 0; t < parts; ++t) {
+      auto it = buffer_.find(base + t * fine_size_steps_);
+      if (it == buffer_.end() || !it->second.value.has_value()) continue;
+      const Decimal& value = *it->second.value;
+      if (!coarse.value.has_value() ||
+          (func_ == AggregateFunc::kMin ? value < *coarse.value
+                                        : value > *coarse.value)) {
+        coarse.value = value;
+      }
+    }
+    return coarse;
+  }
+  Decimal sum;
+  int64_t count = 0;
+  for (int64_t t = 0; t < parts; ++t) {
+    auto it = buffer_.find(base + t * fine_size_steps_);
+    if (it == buffer_.end()) continue;
+    if (it->second.sum.has_value()) sum = sum + *it->second.sum;
+    if (it->second.count.has_value()) count += *it->second.count;
+  }
+  coarse.sum = sum;
+  coarse.count = count;
+  return coarse;
 }
 
 Status AggCombineOp::OnFinish() {
@@ -389,43 +389,11 @@ Status AggCombineOp::OnFinish() {
   // data; here the trailing fine windows were flushed as partials (or
   // dropped when empty), so combining whatever parts are present yields
   // the same partial coarse values. Empty trailing windows stay silent.
-  const int64_t parts = coarse_size_steps_ / fine_size_steps_;
   while (next_coarse_ * coarse_step_steps_ <= max_fine_seen_) {
-    int64_t base = next_coarse_ * coarse_step_steps_;
-    AggItem coarse;
-    coarse.seq = next_coarse_;
-    if (func_ == AggregateFunc::kMin || func_ == AggregateFunc::kMax) {
-      for (int64_t t = 0; t < parts; ++t) {
-        auto it = buffer_.find(base + t * fine_size_steps_);
-        if (it == buffer_.end() || !it->second.value.has_value()) continue;
-        const Decimal& value = *it->second.value;
-        if (!coarse.value.has_value()) {
-          coarse.value = value;
-        } else if (func_ == AggregateFunc::kMin) {
-          if (value < *coarse.value) coarse.value = value;
-        } else {
-          if (value > *coarse.value) coarse.value = value;
-        }
-      }
-      if (coarse.value.has_value()) {
-        SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
-      }
-    } else {
-      Decimal sum;
-      int64_t count = 0;
-      for (int64_t t = 0; t < parts; ++t) {
-        auto it = buffer_.find(base + t * fine_size_steps_);
-        if (it == buffer_.end()) continue;
-        if (it->second.sum.has_value()) sum = sum + *it->second.sum;
-        if (it->second.count.has_value()) count += *it->second.count;
-      }
-      if (count > 0) {
-        coarse.sum = sum;
-        coarse.count = count;
-        SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
-      }
+    AggItem coarse = Combine(next_coarse_++);
+    if (coarse.value.has_value() || coarse.count.value_or(0) > 0) {
+      SS_RETURN_IF_ERROR(Emit(MakeAggItem(coarse)));
     }
-    ++next_coarse_;
   }
   buffer_.clear();
   return Status::Ok();

@@ -125,10 +125,18 @@ class WindowContentsOp : public Operator {
 /// windows arrive as <wagg> items; coarse window j combines the
 /// non-overlapping fine windows starting at j·µ′ + t·Δ for t < k.
 /// Preconditions are MatchAggregations' divisibility rules.
+///
+/// Fine windows below the first one seen ended before the stream's first
+/// item, so the fine aggregate never emitted them. A fresh combiner
+/// counts them as empty, exactly as direct aggregation does, and emits
+/// every coarse window that ends after the first item. With `resume`
+/// (a deployment rebuilt mid-stream) it instead skips every coarse
+/// window that needs one of them: gap, not garbage.
 class AggCombineOp : public Operator {
  public:
   AggCombineOp(std::string label, properties::AggregateFunc func,
-               properties::WindowSpec fine, properties::WindowSpec coarse);
+               properties::WindowSpec fine, properties::WindowSpec coarse,
+               bool resume = false);
 
   size_t OpenWindowCount() const override;
 
@@ -138,8 +146,12 @@ class AggCombineOp : public Operator {
 
  private:
   Status TryEmit();
+  /// Combines the buffered parts of coarse window `j`; missing parts
+  /// count as empty.
+  AggItem Combine(int64_t j) const;
 
   properties::AggregateFunc func_;
+  bool resume_;
   // All in units of the fine step µ.
   int64_t fine_size_steps_;    // Δ / µ
   int64_t coarse_size_steps_;  // Δ′ / µ

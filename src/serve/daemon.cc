@@ -513,8 +513,10 @@ Status ServeDaemon::LoopOnce() {
     stats_.attached_clients = clients_.size();
   }
 
+  // Only the clients polled above have an fds slot; the ones accepted
+  // just now are served from the next iteration on.
   std::vector<size_t> closed;
-  for (size_t i = 0; i < clients_.size(); ++i) {
+  for (size_t i = 0; i + 1 < fds.size(); ++i) {
     ClientState* client = clients_[i].get();
     short revents = fds[i + 1].revents;
     if (revents == 0) continue;

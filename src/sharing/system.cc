@@ -328,60 +328,6 @@ Status StreamShareSystem::CheckActiveSubscription(int query_id) const {
                           " was already unsubscribed");
 }
 
-Status StreamShareSystem::UnregisterQuery(int query_id) {
-  SS_RETURN_IF_ERROR(CheckActiveSubscription(query_id));
-  QueryDeployment& deployment = deployments_[query_id];
-  if (deployment.widened_a_stream) {
-    return Status::InvalidArgument(
-        "query " + std::to_string(query_id) +
-        " widened a shared stream; widening is irreversible while later "
-        "subscriptions may rely on the widened content");
-  }
-  // The query's own streams must have no remaining consumers (active
-  // subscriptions, or deferred chains of departed ones).
-  for (const QueryDeployment::InputWiring& wiring : deployment.inputs) {
-    if (wiring.registered_stream < 0) continue;
-    for (size_t other = 0; other < deployments_.size(); ++other) {
-      if (static_cast<int>(other) == query_id ||
-          !deployments_[other].active) {
-        continue;
-      }
-      for (const QueryDeployment::InputWiring& consumer :
-           deployments_[other].inputs) {
-        if (consumer.reused_stream == wiring.registered_stream) {
-          return Status::InvalidArgument(
-              "stream #" + std::to_string(wiring.registered_stream) +
-              " registered by query " + std::to_string(query_id) +
-              " is still consumed by query " + std::to_string(other) +
-              "; deregister consumers first");
-        }
-      }
-    }
-    if (registry_.stream(wiring.registered_stream).consumers > 0) {
-      return Status::InvalidArgument(
-          "stream #" + std::to_string(wiring.registered_stream) +
-          " registered by query " + std::to_string(query_id) +
-          " still feeds a departed subscription's deferred chain; "
-          "deregister consumers first");
-    }
-  }
-
-  // With no consumers left, every wiring dismantles immediately: private
-  // chains detach from the shared taps, the query's streams retire, and
-  // the plan's committed resources are released per input.
-  deployment.active = false;
-  ParkWirings(query_id, &deployment, registrations_[query_id].plan,
-              nullptr);
-  GcStreams();
-  ++plan_epoch_;
-  obs::EventLog& log = obs::EventLog::Default();
-  if (log.ShouldLog(obs::Severity::kInfo)) {
-    log.Log(obs::Severity::kInfo, "sharing", "query deregistered",
-            {obs::F("query", query_id)});
-  }
-  return Status::Ok();
-}
-
 Result<StreamShareSystem::ReoptimizeReport> StreamShareSystem::Reoptimize(
     int max_migrations) {
   ReoptimizeReport report;
@@ -610,8 +556,8 @@ Status StreamShareSystem::WireInput(
             resume);
         break;
       case EngineOpSpec::Kind::kAggCombine:
-        op = graph_.Add<engine::AggCombineOp>(label, spec.func,
-                                              spec.fine_window, spec.window);
+        op = graph_.Add<engine::AggCombineOp>(
+            label, spec.func, spec.fine_window, spec.window, resume);
         break;
       case EngineOpSpec::Kind::kAggFilter:
         op = graph_.Add<engine::AggFilterOp>(label, spec.func,
@@ -849,23 +795,11 @@ Status CollectEntries(
 Status StreamShareSystem::Run(
     const std::map<std::string, std::vector<engine::ItemPtr>>&
         items_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  if (config_.executor == ExecutorKind::kParallel) {
-    return RunParallel(items_by_stream);
-  }
-  if (config_.executor == ExecutorKind::kTransport) {
-    return RunTransport(items_by_stream);
-  }
   std::vector<engine::Operator*> entries;
   std::vector<std::vector<engine::ItemPtr>> item_lists;
   SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
                                     &entries, &item_lists));
-  if (config_.record_path) {
-    return engine::RunStreamsBatched(entries, item_lists,
-                                     config_.parallel.batch_size,
-                                     /*adopt=*/true, /*finish=*/true);
-  }
-  return engine::RunStreams(entries, item_lists, /*finish=*/true);
+  return Execute(entries, item_lists, /*finish=*/true);
 }
 
 Status StreamShareSystem::RunBatches(
@@ -889,89 +823,9 @@ Status StreamShareSystem::RunBatches(
   return engine::RunBatchStreams(entries, &batch_lists, /*finish=*/true);
 }
 
-engine::ParallelOptions StreamShareSystem::EffectiveParallelOptions() const {
-  engine::ParallelOptions options = config_.parallel;
-  options.adopt_records = options.adopt_records && config_.record_path;
-  return options;
-}
-
-Status StreamShareSystem::RunParallel(
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  std::vector<engine::Operator*> entries;
-  std::vector<std::vector<engine::ItemPtr>> item_lists;
-  SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
-                                    &entries, &item_lists));
-  engine::ParallelExecutor executor(EffectiveParallelOptions());
-  Status status = executor.Run(entries, item_lists);
-  parallel_stats_ = executor.worker_stats();
-  return status;
-}
-
-Status StreamShareSystem::RunTransport(
-    const std::map<std::string, std::vector<engine::ItemPtr>>&
-        items_by_stream) {
-  std::vector<engine::Operator*> entries;
-  std::vector<std::vector<engine::ItemPtr>> item_lists;
-  SS_RETURN_IF_ERROR(CollectEntries(stream_entries_, items_by_stream,
-                                    &entries, &item_lists));
-  return RunTransportImpl(entries, item_lists, /*finish=*/true);
-}
-
-Status StreamShareSystem::RunTransportImpl(
-    const std::vector<engine::Operator*>& entries,
-    const std::vector<std::vector<engine::ItemPtr>>& item_lists,
-    bool finish) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
-  std::unique_ptr<transport::Transport> transport;
-  if (config_.transport == "loopback") {
-    transport = std::make_unique<transport::LoopbackTransport>();
-  } else if (config_.transport == "tcp") {
-    transport = std::make_unique<transport::TcpTransport>(config_.tcp);
-  } else {
-    return Status::InvalidArgument("unknown transport '" +
-                                   config_.transport +
-                                   "' (expected loopback or tcp)");
-  }
-  transport::RunnerOptions options;
-  options.parallel = EffectiveParallelOptions();
-  options.flow = config_.flow;
-  options.faults = config_.faults;
-  options.mode = config_.transport_processes
-                     ? transport::RunnerOptions::Mode::kProcesses
-                     : transport::RunnerOptions::Mode::kThreads;
-  transport::PartitionedRunner runner(transport.get(), options);
-  Status status = runner.Run(entries, item_lists, finish);
-  transport_stats_ = runner.run_stats();
-  // The transport runner's workers mirror the parallel executor's, so
-  // their queue stats export through the same engine.worker.* gauges.
-  parallel_stats_ = transport_stats_.workers;
-  // Liveness detection: a sender that exhausted its credit-wait retries
-  // observed a stalled-or-gone receiver. Promote the symptom into
-  // suspicion of the receiving worker's peers — advisory only (routing is
-  // unchanged); FailPeer confirms and commits recovery.
-  if (status.IsDeadlineExceeded()) {
-    for (const transport::ChannelTrafficStats& channel :
-         transport_stats_.channels) {
-      if (channel.stats.deadline_failures == 0) continue;
-      if (channel.target_worker >= transport_stats_.workers.size()) {
-        continue;
-      }
-      for (network::NodeId peer :
-           transport_stats_.workers[channel.target_worker].peers) {
-        state_.mutable_health().MarkSuspect(
-            peer, "transport: " + status.message());
-      }
-    }
-  }
-  return status;
-}
-
 Status StreamShareSystem::Feed(
     const std::map<std::string, std::vector<engine::ItemPtr>>&
         items_by_stream) {
-  engine::latency::ScopedEnabled stamping(config_.measure_latency);
   std::vector<engine::Operator*> entries;
   std::vector<std::vector<engine::ItemPtr>> item_lists;
   // A stream whose source peer failed no longer produces: its batches are
@@ -985,24 +839,68 @@ Status StreamShareSystem::Feed(
     entries.push_back(stream_entries_.at(name));
     item_lists.push_back(items);
   }
-  switch (config_.executor) {
-    case ExecutorKind::kSerial:
-      if (config_.record_path) {
-        return engine::RunStreamsBatched(entries, item_lists,
-                                         config_.parallel.batch_size,
-                                         /*adopt=*/true, /*finish=*/false);
-      }
-      return engine::RunStreams(entries, item_lists, /*finish=*/false);
-    case ExecutorKind::kParallel: {
-      engine::ParallelExecutor executor(EffectiveParallelOptions());
-      Status status = executor.Run(entries, item_lists, /*finish=*/false);
-      parallel_stats_ = executor.worker_stats();
-      return status;
+  return Execute(entries, item_lists, /*finish=*/false);
+}
+
+Status StreamShareSystem::Execute(
+    const std::vector<engine::Operator*>& entries,
+    const std::vector<std::vector<engine::ItemPtr>>& item_lists,
+    bool finish) {
+  engine::latency::ScopedEnabled stamping(config_.measure_latency);
+  if (config_.executor == ExecutorKind::kSerial) {
+    if (config_.record_path) {
+      return engine::RunStreamsBatched(entries, item_lists,
+                                       config_.parallel.batch_size,
+                                       /*adopt=*/true, finish);
     }
-    case ExecutorKind::kTransport:
-      return RunTransportImpl(entries, item_lists, /*finish=*/false);
+    return engine::RunStreams(entries, item_lists, finish);
   }
-  return Status::Internal("unknown executor kind");
+
+  // The partitioned runtime: in-process channel, or the wire.
+  std::unique_ptr<transport::Transport> transport;
+  std::unique_ptr<transport::WireChannel> wire;
+  if (config_.executor == ExecutorKind::kTransport) {
+    if (config_.transport == "loopback") {
+      transport = std::make_unique<transport::LoopbackTransport>();
+    } else if (config_.transport == "tcp") {
+      transport = std::make_unique<transport::TcpTransport>(config_.tcp);
+    } else {
+      return Status::InvalidArgument("unknown transport '" +
+                                     config_.transport +
+                                     "' (expected loopback or tcp)");
+    }
+    wire = std::make_unique<transport::WireChannel>(
+        transport.get(), config_.flow, config_.faults);
+  }
+  engine::PartitionedRuntime runtime(config_.parallel, wire.get());
+  Status status =
+      wire != nullptr && config_.transport_processes
+          ? transport::RunWorkerProcesses(&runtime, wire.get(), entries,
+                                          item_lists, config_.record_path,
+                                          finish)
+          : runtime.Run(entries, item_lists, config_.record_path, finish);
+  parallel_stats_ = runtime.worker_stats();
+  if (wire == nullptr) return status;
+  transport_stats_ = wire->run_stats();
+  // Liveness detection: a sender that exhausted its credit-wait retries
+  // observed a stalled-or-gone receiver. Promote the symptom into
+  // suspicion of the receiving worker's peers — advisory only (routing is
+  // unchanged); FailPeer confirms and commits recovery.
+  if (status.IsDeadlineExceeded()) {
+    for (const transport::ChannelTrafficStats& channel :
+         transport_stats_.channels) {
+      if (channel.stats.deadline_failures == 0 ||
+          channel.target_worker >= parallel_stats_.size()) {
+        continue;
+      }
+      for (network::NodeId peer :
+           parallel_stats_[channel.target_worker].peers) {
+        state_.mutable_health().MarkSuspect(
+            peer, "transport: " + status.message());
+      }
+    }
+  }
+  return status;
 }
 
 Status StreamShareSystem::Shutdown() {
@@ -1102,7 +1000,7 @@ void StreamShareSystem::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->GetGauge("network.peer." + name + ".health")
         ->Set(static_cast<double>(state_.health().status(peer)));
   }
-  // Transport measurements of the most recent RunTransport: measured
+  // Transport measurements of the most recent wire run: measured
   // traffic per topology link, next to the committed bandwidth u_b(e)
   // the cost model predicted for that link.
   if (!transport_stats_.transport.empty()) {

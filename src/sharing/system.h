@@ -20,7 +20,7 @@
 #include "engine/executor.h"
 #include "engine/metrics.h"
 #include "engine/operator.h"
-#include "engine/parallel_executor.h"
+#include "engine/runtime.h"
 #include "network/state.h"
 #include "network/stream_registry.h"
 #include "network/subnet.h"
@@ -41,12 +41,13 @@ enum class Strategy { kDataShipping, kQueryShipping, kStreamSharing };
 
 std::string_view StrategyToString(Strategy strategy);
 
-/// How Run() drives the deployed operator network: serial on the calling
-/// thread (the default and the correctness oracle), partitioned by
-/// super-peer across worker threads with bounded queues on the peer
-/// boundaries, or partitioned across a transport (binary codec +
-/// credit-based flow control; with config.transport = "tcp" and
-/// transport_processes, each partition becomes its own OS process).
+/// How Run() and Feed() drive the deployed operator network: serial on
+/// the calling thread (the default and the correctness oracle), or on the
+/// peer-partitioned runtime (engine/runtime.h) — with the in-process
+/// channel (bounded queues on the peer boundaries), or with the wire
+/// channel over a transport (binary codec + credit-based flow control;
+/// with config.transport = "tcp" and transport_processes, each partition
+/// becomes its own OS process).
 enum class ExecutorKind { kSerial, kParallel, kTransport };
 
 struct SystemConfig {
@@ -63,9 +64,10 @@ struct SystemConfig {
   /// subnet first, escalating per `hierarchy` options.
   std::vector<int> subnet_assignment;
   HierarchicalOptions hierarchy;
-  /// Executor Run() uses; RunParallel() forces kParallel regardless.
+  /// Executor Run() and Feed() use.
   ExecutorKind executor = ExecutorKind::kSerial;
-  /// Queue capacity / dispatch batching for the parallel executor.
+  /// Queue capacity / dispatch batching (every executor) and the
+  /// in-process worker cap of the partitioned runtime.
   engine::ParallelOptions parallel;
   /// Indexed candidate lookup: Subscribe consults a CandidateIndex
   /// (hash buckets on (variant stream, route node), dominance-grouped by
@@ -76,18 +78,19 @@ struct SystemConfig {
   bool candidate_index = true;
   /// Master switch for the compact-record hot path: serial runs chunk
   /// items into batches and adopt photon-conforming items into
-  /// PhotonRecords, and the parallel/transport executors do the same
-  /// while feeding. Off, every run drives items one by one through the
-  /// DOM evaluation path — the differential oracle's reference mode.
+  /// PhotonRecords, and the partitioned runtime's feeder does the same.
+  /// Off, every run drives items one by one through the DOM evaluation
+  /// path — the differential oracle's reference mode.
   bool record_path = true;
-  /// Transport RunTransport() uses: "loopback" (in-process frame pipes,
+  /// Transport the kTransport executor uses: "loopback" (in-process frame pipes,
   /// the default) or "tcp" (one localhost TCP connection per
   /// cross-worker channel).
   std::string transport = "loopback";
   /// Run each worker partition as its own OS process instead of a
   /// thread. Requires a transport whose pipes survive fork ("tcp").
   bool transport_processes = false;
-  /// Credit window / timeouts and fault injection for RunTransport().
+  /// Credit window / timeouts and fault injection for the kTransport
+  /// executor.
   transport::FlowOptions flow;
   transport::FaultPlan faults;
   /// Connect retry/backoff for the "tcp" transport.
@@ -223,23 +226,14 @@ class StreamShareSystem {
   /// is epoch-safe at feed boundaries, exactly like recovery.
   Result<ReoptimizeReport> Reoptimize(int max_migrations = -1);
 
-  /// Deregisters a continuous query: detaches its operator chains from the
-  /// shared streams, retires the streams it registered, and releases the
-  /// bandwidth and load its plan committed. Fails with kInvalidArgument
-  /// when another active subscription still consumes one of the query's
-  /// streams (deregister the consumers first), or when the query's plan
-  /// widened a stream (widening is irreversible while consumers may rely
-  /// on the widened content).
-  Status UnregisterQuery(int query_id);
-
   /// Refcounted deregistration: the query leaves immediately, but a shared
   /// stream it registered keeps flowing while other subscriptions still
   /// consume it — only the query's private tail is cut. Once the last
   /// consumer of such a stream leaves, the stream and its whole deferred
   /// chain are garbage-collected (cascading up the reuse chain) and the
-  /// resources released. Unlike UnregisterQuery this never refuses for
-  /// live consumers; it still refuses for queries that widened a stream
-  /// (widening is irreversible).
+  /// resources released. It refuses only for queries that widened a
+  /// stream (widening is irreversible while consumers may rely on the
+  /// widened content).
   Status Unsubscribe(int query_id);
 
   /// Declares a super-peer dead (operator intervention, or promotion of a
@@ -266,22 +260,23 @@ class StreamShareSystem {
     return recovery_reports_;
   }
 
-  /// True while the query is deployed (false after UnregisterQuery or for
+  /// True while the query is deployed (false after Unsubscribe or for
   /// rejected registrations).
   bool IsActive(int query_id) const;
 
   /// NotFound with a message naming why `query_id` is not an active
   /// subscription — never registered, rejected at admission, or already
-  /// removed — or Ok while it is deployed. UnregisterQuery and
-  /// Unsubscribe both gate on this, so a double-unsubscribe is NotFound
-  /// everywhere, not whatever the registry walk happens to hit.
+  /// removed — or Ok while it is deployed. Unsubscribe gates on this, so
+  /// a double-unsubscribe is NotFound everywhere, not whatever the
+  /// registry walk happens to hit.
   Status CheckActiveSubscription(int query_id) const;
 
-  /// Single-shot run: feeds items of the named original streams through
-  /// the deployed network (round-robin across streams), then signals end
-  /// of stream — window operators flush their partial windows. Use
-  /// Feed/Shutdown instead for continuous operation across multiple
-  /// batches.
+  /// Single-shot run on the configured executor: feeds items of the
+  /// named original streams through the deployed network (round-robin
+  /// across streams), then signals end of stream — window operators
+  /// flush their partial windows. Results and merged metrics are the
+  /// same on every executor. Use Feed/Shutdown instead for continuous
+  /// operation across multiple batches.
   Status Run(const std::map<std::string, std::vector<engine::ItemPtr>>&
                  items_by_stream);
 
@@ -294,41 +289,26 @@ class StreamShareSystem {
       std::map<std::string, std::vector<engine::ItemBatch>>*
           batches_by_stream);
 
-  /// Single-shot run on the peer-partitioned parallel executor (one
-  /// worker thread per super-peer partition, bounded queues on the peer
-  /// boundaries), regardless of the configured ExecutorKind. Results and
-  /// merged metrics match a serial Run of the same items.
-  Status RunParallel(
-      const std::map<std::string, std::vector<engine::ItemPtr>>&
-          items_by_stream);
+  /// Continuous operation on the configured executor: feeds a batch
+  /// without signalling end of stream. Subscriptions may be registered
+  /// and deregistered between batches; window state carries across.
+  /// Worker processes cannot keep window state between batches, so the
+  /// kTransport executor with transport_processes refuses.
+  Status Feed(const std::map<std::string, std::vector<engine::ItemPtr>>&
+                  items_by_stream);
 
-  /// Per-worker queue/blocking stats of the most recent parallel run
-  /// (empty if no parallel run happened yet).
+  /// Per-worker queue/blocking stats of the most recent partitioned run
+  /// (empty if none happened yet).
   const std::vector<engine::ParallelWorkerStats>& parallel_stats() const {
     return parallel_stats_;
   }
 
-  /// Single-shot run over the configured transport (config.transport,
-  /// config.transport_processes): the partitioned operator network
-  /// exchanges encoded items through flow-controlled channels,
-  /// optionally with every worker in its own OS process. Results and
-  /// merged metrics match a serial Run of the same items.
-  Status RunTransport(
-      const std::map<std::string, std::vector<engine::ItemPtr>>&
-          items_by_stream);
-
-  /// Traffic measured by the most recent RunTransport (bytes-on-wire per
-  /// channel, encoded bytes per cross edge, credit stalls). Empty
+  /// Traffic measured by the most recent kTransport run (bytes-on-wire
+  /// per channel, encoded bytes per cross edge, credit stalls). Empty
   /// transport name if no transport run happened yet.
   const transport::TransportRunStats& transport_stats() const {
     return transport_stats_;
   }
-
-  /// Continuous operation: feeds a batch without signalling end of
-  /// stream. Subscriptions may be registered and deregistered between
-  /// batches; window state carries across.
-  Status Feed(const std::map<std::string, std::vector<engine::ItemPtr>>&
-                  items_by_stream);
 
   /// Ends all streams: flushes buffered window state to every active
   /// subscription. One-shot; after shutdown no further Feed is
@@ -360,7 +340,7 @@ class StreamShareSystem {
   /// engine.link.<a>-<b>.bytes and engine.peer.<name>.{work,items} from
   /// the deployment's Metrics, engine.worker.<i>.* from the most recent
   /// parallel run, network.{link,peer}.<...>.utilization gauges from
-  /// the committed plan usage, and — after a RunTransport —
+  /// the committed plan usage, and — after a kTransport run —
   /// transport.link.<a>-<b>.{encoded_bytes,predicted_kbps} gauges that
   /// put measured bytes-on-wire next to the cost model's committed
   /// bandwidth u_b(e). Call before exporting a snapshot.
@@ -479,14 +459,11 @@ class StreamShareSystem {
   /// flowing), or its upstream chain does.
   bool StreamSevered(network::StreamId id,
                      const std::vector<bool>& severed) const;
-  /// config_.parallel with adopt_records gated on config_.record_path
-  /// (the master switch wins over the per-executor knob).
-  engine::ParallelOptions EffectiveParallelOptions() const;
-  /// Shared body of RunTransport and transport-mode Feed.
-  Status RunTransportImpl(
-      const std::vector<engine::Operator*>& entries,
-      const std::vector<std::vector<engine::ItemPtr>>& item_lists,
-      bool finish);
+  /// The one dispatch behind Run (finish=true) and Feed (finish=false):
+  /// serial, or the partitioned runtime with the channel config_ names.
+  Status Execute(const std::vector<engine::Operator*>& entries,
+                 const std::vector<std::vector<engine::ItemPtr>>& item_lists,
+                 bool finish);
 
   network::Topology topology_;
   SystemConfig config_;

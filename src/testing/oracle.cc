@@ -335,10 +335,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         BuiltSystem built,
         BuildAndRegister(scenario, sharing::Strategy::kStreamSharing,
                          config, options));
-    Status run_status = spec.executor == ExecutorKind::kTransport
-                            ? built.system->RunTransport(items)
-                            : built.system->RunParallel(items);
-    SS_RETURN_IF_ERROR(run_status.WithContext(spec.name));
+    SS_RETURN_IF_ERROR(built.system->Run(items).WithContext(spec.name));
     ModeObservation mode;
     mode.mode = spec.name;
     Observe(built, &mode);
@@ -925,8 +922,8 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         query.content_hash = observed.content_hash;
         serve_mode.queries.push_back(std::move(query));
       }
-      report.modes.push_back(serve_mode);
 
+      // `expected` may point into report.modes: compare before appending.
       if (serve_mode.queries.size() != expected->size()) {
         report.serve_ok = false;
         fail("serve arm: daemon answered " +
@@ -953,6 +950,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
           }
         }
       }
+      report.modes.push_back(std::move(serve_mode));
     }
   }
 
@@ -1028,8 +1026,8 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
         query.content_hash = observed.content_hash;
         crash_mode.queries.push_back(std::move(query));
       }
-      report.modes.push_back(crash_mode);
 
+      // `expected` may point into report.modes: compare before appending.
       if (crash_mode.queries.size() != expected->size()) {
         report.crash_ok = false;
         fail("crash arm: recovered daemon answered " +
@@ -1062,6 +1060,7 @@ Result<OracleReport> RunOracle(const FuzzScenario& scenario,
           }
         }
       }
+      report.modes.push_back(std::move(crash_mode));
     }
   }
 

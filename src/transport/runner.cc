@@ -4,13 +4,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,7 +30,8 @@ using engine::Metrics;
 using engine::Operator;
 using engine::PartitionPlan;
 
-/// Registry series fed once per run from the aggregated channel stats.
+/// Registry series each worker feeds once per run from the stats of its
+/// own channels.
 struct TransportSeries {
   obs::Counter* items_sent;
   obs::Counter* frames_sent;
@@ -63,38 +60,6 @@ struct TransportSeries {
 /// multi-process merge prefers the originating worker's error over the
 /// relays that cascaded from it.
 constexpr std::string_view kRelayPrefix = "upstream worker failure: ";
-
-class AbortState {
- public:
-  void Record(Status status) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (first_error_.ok()) first_error_ = std::move(status);
-    aborted_.store(true, std::memory_order_release);
-  }
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-  Status Snapshot() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return first_error_;
-  }
-
- private:
-  std::mutex mu_;
-  Status first_error_ = Status::Ok();
-  std::atomic<bool> aborted_{false};
-};
-
-class TransportPortOp;
-
-/// One flow-controlled channel between a pair of workers. The sender end
-/// (and the shared per-channel encoder) is driven by the source worker's
-/// thread, the receiver end by one receiver thread on the target worker.
-struct ChannelRt {
-  size_t source_worker = 0;
-  size_t target_worker = 0;
-  std::unique_ptr<ChannelSender> sender;
-  std::unique_ptr<ChannelReceiver> receiver;
-  ItemEncoder encoder;
-};
 
 /// Sending half of a cross-worker edge: encodes the item with the
 /// channel's dictionary and ships it to the target's operator index.
@@ -170,236 +135,34 @@ class TransportPortOp final : public Operator {
   std::string buffer_;
 };
 
-struct WorkerRt {
-  size_t index = 0;
-  std::vector<network::NodeId> peers;
-  size_t operator_count = 0;
-  std::unique_ptr<LinkQueue> queue;
-  /// Boundary operators finished once all pills arrived: entries assigned
-  /// here plus targets of inbound cross edges, in discovery order.
-  std::vector<Operator*> roots;
-  std::set<Operator*> root_set;
-  std::vector<ChannelRt*> inbound;
-  std::vector<ChannelRt*> outbound;
-  /// Indices into entries/item_lists this worker feeds itself.
-  std::vector<size_t> entry_streams;
-  size_t expected_pills = 0;
-  /// Worker-local metrics shard per original Metrics sink.
-  std::map<Metrics*, std::unique_ptr<Metrics>> shards;
-
-  void AddRoot(Operator* op) {
-    if (root_set.insert(op).second) roots.push_back(op);
-  }
-};
-
-/// Receiver thread: one per inbound channel. Decodes DATA frames into the
-/// worker's bounded queue and grants a credit only after the push went
-/// through — that handoff is what extends queue backpressure across the
-/// wire. Ends with one poison pill, whatever happened.
-void ReceiveChannel(WorkerRt* w, ChannelRt* ch, const PartitionPlan& plan,
-                    AbortState* abort) {
-  obs::ScopedShard pinned(w->index);
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
-  ItemDecoder decoder;
-  while (true) {
-    ChannelReceiver::Incoming in;
-    Status status = ch->receiver->Recv(&in);
-    if (!status.ok()) {
-      abort->Record(std::move(status));
-      break;
-    }
-    if (in.type == FrameType::kEos) break;
-    if (in.type == FrameType::kError) {
-      abort->Record(Status::Internal(std::string(kRelayPrefix) + in.error));
-      break;
-    }
-    if (in.target >= plan.ops.size() ||
-        plan.worker_of[in.target] != w->index) {
-      abort->Record(Status::Internal(
-          "channel " + ch->receiver->label() +
-          ": DATA frame routed to a foreign operator index"));
-      break;
-    }
-    engine::ItemBatch::Slot slot;
-    const bool tracing = recorder.enabled();
-    uint64_t start = tracing ? recorder.NowMicros() : 0;
-    Status decoded = decoder.DecodeSlot(in.item_bytes, &slot);
-    if (tracing) {
-      recorder.RecordComplete(
-          "codec.decode", "transport", start, recorder.NowMicros() - start,
-          {obs::TraceArg::Num("bytes",
-                              static_cast<double>(in.item_bytes.size()))});
-    }
-    if (!decoded.ok()) {
-      abort->Record(
-          decoded.WithContext("channel " + ch->receiver->label()));
-      break;
-    }
-    // The wire carries the stamp outside the item bytes; restore it onto
-    // the decoded slot so it keeps riding toward the sink.
-    slot.stamp = in.stamp;
-    LinkQueue::Entry entry;
-    entry.target = plan.ops[in.target];
-    entry.batch.AppendSlot(slot);
-    w->queue->Push(std::move(entry));
-    ch->receiver->GrantCredit(1);
-  }
-  // Close promptly: the sender side holds its end open until this close
-  // arrives (DrainUntilPeerClose), which keeps TCP teardown orderly when
-  // each worker is its own process.
-  ch->receiver->Close();
-  w->queue->Push(LinkQueue::Entry{});
-}
-
-/// Feeder thread: pushes this worker's own entry streams (round-robin
-/// across streams, per-stream order preserved), then one pill. Items are
-/// adopted into compact records while buffering; each full batch crosses
-/// the queue as one entry.
-void FeedEntries(WorkerRt* w, const std::vector<Operator*>& entries,
-                 const std::vector<std::vector<ItemPtr>>& item_lists,
-                 size_t batch_size, bool adopt_records, AbortState* abort) {
-  std::vector<engine::ItemBatch> buffers(w->entry_streams.size());
-  std::vector<size_t> cursors(w->entry_streams.size(), 0);
-  std::vector<size_t> active;
-  for (size_t i = 0; i < w->entry_streams.size(); ++i) {
-    buffers[i].reserve(batch_size);
-    if (!item_lists[w->entry_streams[i]].empty()) active.push_back(i);
-  }
-  const bool stamping = engine::latency::Enabled();
-  while (!active.empty() && !abort->aborted()) {
-    size_t write = 0;
-    for (size_t idx = 0; idx < active.size(); ++idx) {
-      size_t i = active[idx];
-      size_t s = w->entry_streams[i];
-      buffers[i].AppendItem(item_lists[s][cursors[i]++], adopt_records);
-      if (stamping) {
-        buffers[i].slot(buffers[i].size() - 1).stamp.ingress_us =
-            engine::latency::NowUs();
-      }
-      if (buffers[i].size() >= batch_size) {
-        w->queue->Push(LinkQueue::Entry{entries[s], std::move(buffers[i])});
-        buffers[i] = engine::ItemBatch();
-        buffers[i].reserve(batch_size);
-      }
-      if (cursors[i] < item_lists[s].size()) active[write++] = i;
-    }
-    active.resize(write);
-  }
-  if (!abort->aborted()) {
-    for (size_t i = 0; i < buffers.size(); ++i) {
-      if (buffers[i].empty()) continue;
-      w->queue->Push(
-          LinkQueue::Entry{entries[w->entry_streams[i]],
-                           std::move(buffers[i])});
-    }
-  }
-  w->queue->Push(LinkQueue::Entry{});
-}
-
-/// One worker: receiver threads + feeder thread around the same drain
-/// loop the parallel executor runs, then EOS (or the first error) down
-/// every outbound channel.
-void RunWorker(WorkerRt* w, const PartitionPlan& plan,
-               const std::vector<Operator*>& entries,
-               const std::vector<std::vector<ItemPtr>>& item_lists,
-               size_t batch_size, bool adopt_records, AbortState* abort,
-               bool finish) {
-  obs::ScopedShard pinned(w->index);
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
-  if (recorder.enabled()) {
-    std::string name = "tworker-" + std::to_string(w->index);
-    if (!w->peers.empty()) {
-      name += " [";
-      for (size_t i = 0; i < w->peers.size(); ++i) {
-        if (i > 0) name += ",";
-        name += "SP" + std::to_string(w->peers[i]);
-      }
-      name += "]";
-    }
-    recorder.SetThreadName(std::move(name));
-  }
-
-  std::vector<std::thread> helpers;
-  helpers.reserve(w->inbound.size() + 1);
-  for (ChannelRt* ch : w->inbound) {
-    helpers.emplace_back(ReceiveChannel, w, ch, std::cref(plan), abort);
-  }
-  if (!w->entry_streams.empty()) {
-    helpers.emplace_back(FeedEntries, w, std::cref(entries),
-                         std::cref(item_lists), batch_size, adopt_records,
-                         abort);
-  }
-
-  std::vector<LinkQueue::Entry> batch;
-  batch.reserve(batch_size);
-  size_t pills = 0;
-  while (pills < w->expected_pills) {
-    batch.clear();
-    w->queue->PopBatch(&batch, batch_size);
-    for (LinkQueue::Entry& entry : batch) {
-      if (entry.target == nullptr) {
-        ++pills;
-        continue;
-      }
-      if (abort->aborted()) continue;  // drain without processing
-      Status status = entry.target->PushBatch(&entry.batch);
-      if (!status.ok()) {
-        abort->Record(engine::WrapOperatorFailure(std::move(status), "push",
-                                                  *entry.target));
-      }
-    }
-  }
-  if (finish && !abort->aborted()) {
-    for (Operator* root : w->roots) {
-      Status status = root->Finish();
-      if (!status.ok()) {
-        abort->Record(
-            engine::WrapOperatorFailure(std::move(status), "finish", *root));
-        break;
-      }
-    }
-  }
-  for (ChannelRt* ch : w->outbound) {
-    Status status = abort->aborted()
-                        ? ch->sender->SendError(abort->Snapshot().ToString())
-                        : ch->sender->SendEos();
-    if (!status.ok() && !abort->aborted()) abort->Record(std::move(status));
-  }
-  // Only after EOS went down every channel: wait (bounded) for each peer
-  // to acknowledge by closing its end, so no channel still has unread
-  // CREDIT frames when this worker's fds close. A process-mode exit that
-  // skips this can turn into a TCP reset that destroys the peer's
-  // still-buffered EOS.
-  for (ChannelRt* ch : w->outbound) ch->sender->DrainUntilPeerClose();
-  for (std::thread& helper : helpers) helper.join();
-}
-
 // --- Cross-process report blob -----------------------------------------
 //
 // A child serializes everything it measured into one varint-framed blob
 // and writes it to its report pipe before _exit(0):
 //
-//   varint version (2)
+//   varint version (3)
 //   varint status code | string message
 //   varint #metric shards | per shard: varint #links, varint bytes each;
 //                           varint #peers, double work + varint items each
 //   varint #sinks   | per sink:    varint op index, Δitems, Δbytes, Δhash
 //   varint #edges   | per edge:    varint edge index, items, encoded bytes
-//   varint #channel halves | per half: varint channel index, 10 varints
+//   varint #channel halves | per half: varint channel index, 12 varints
 //                            (ChannelStats fields in declaration order)
 //   queue stats: 4 varints (entries, producer ns, consumer ns, max depth)
-//   varint #histograms | per histogram (v2): string name,
+//   varint #histograms | per histogram: string name,
 //                        varint #bounds + double each,
 //                        varint count, double sum, double max,
 //                        varint #buckets + varint each
+//   varint #counters   | per counter: string name, varint value
 //
 // Shard order is the deterministic first-seen order of the rebind pass,
 // which parent and child share (the child is a fork of the parent taken
 // after that pass), so no names or ids travel with the shards. The
-// histogram section carries names: it ships every non-empty registry
-// histogram (latency and queue-residency series), and the child calls
-// MetricsRegistry::ResetAll right after fork so the counts are pure
-// run-deltas the parent can MergeCounts without double counting.
+// registry sections carry names: they ship every non-empty registry
+// histogram and counter (the runtime series, latency and queue
+// residency), and the child calls MetricsRegistry::ResetAll right after
+// fork so the values are pure run-deltas the parent can add without
+// double counting.
 
 void PutDouble(std::string* out, double value) {
   char bytes[sizeof(double)];
@@ -500,7 +263,7 @@ bool ReadAll(int fd, std::string* out) {
   }
 }
 
-inline constexpr uint64_t kReportVersion = 2;
+inline constexpr uint64_t kReportVersion = 3;
 
 struct SinkBaseline {
   size_t op_index = 0;
@@ -520,44 +283,310 @@ Status StatusFromReport(uint64_t code, std::string message) {
 
 }  // namespace
 
-PartitionedRunner::PartitionedRunner(Transport* transport,
-                                     RunnerOptions options)
-    : transport_(transport), options_(std::move(options)) {
-  if (options_.parallel.queue_capacity == 0) {
-    options_.parallel.queue_capacity = 1;
+/// One flow-controlled channel between a pair of workers. The sender end
+/// (and the shared per-channel encoder) is driven by the source worker's
+/// thread, the receiver end by one receiver thread on the target worker;
+/// each side records its half of the stats when it is done.
+struct WireChannel::Channel {
+  size_t source_worker = 0;
+  size_t target_worker = 0;
+  std::unique_ptr<ChannelSender> sender;
+  std::unique_ptr<ChannelReceiver> receiver;
+  ItemEncoder encoder;
+  ChannelStats sent;
+  ChannelStats received;
+};
+
+WireChannel::WireChannel(Transport* transport, FlowOptions flow,
+                         FaultPlan faults)
+    : transport_(transport), flow_(flow), faults_(faults) {}
+
+WireChannel::~WireChannel() = default;
+
+std::string_view WireChannel::name() const { return transport_->name(); }
+
+Status WireChannel::Open(const PartitionPlan& plan,
+                         const std::vector<LinkQueue*>& queues,
+                         size_t /*batch_size*/,
+                         std::vector<std::unique_ptr<Operator>>* ports) {
+  plan_ = &plan;
+  queues_ = queues;
+  process_count_ = 0;
+  channels_.clear();
+  inbound_.assign(plan.worker_count, {});
+  outbound_.assign(plan.worker_count, {});
+  edges_.clear();
+  // Ports bill their edge in place, so the vector never reallocates.
+  edges_.reserve(plan.cross_edges.size());
+  std::map<std::pair<size_t, size_t>, Channel*> channel_of;
+  for (const PartitionPlan::CrossEdge& edge : plan.cross_edges) {
+    size_t src = plan.worker_of[edge.source];
+    size_t dst = plan.worker_of[edge.target];
+    Channel*& channel = channel_of[{src, dst}];
+    if (channel == nullptr) {
+      // One channel per worker pair, its pipe created up front (before
+      // any fork).
+      std::string label =
+          "w" + std::to_string(src) + "->w" + std::to_string(dst);
+      PipePair pair;
+      SS_RETURN_IF_ERROR(transport_->CreatePipe(label, &pair));
+      auto created = std::make_unique<Channel>();
+      created->source_worker = src;
+      created->target_worker = dst;
+      created->sender = std::make_unique<ChannelSender>(
+          label, std::move(pair.ends[0]), flow_, faults_);
+      created->receiver = std::make_unique<ChannelReceiver>(
+          label, std::move(pair.ends[1]), flow_, faults_);
+      channel = created.get();
+      outbound_[src].push_back(channel);
+      inbound_[dst].push_back(channel);
+      channels_.push_back(std::move(created));
+    }
+
+    EdgeTrafficStats stats;
+    stats.source_op = edge.source;
+    stats.target_op = edge.target;
+    stats.source_worker = src;
+    stats.target_worker = dst;
+    if (auto* link_op = dynamic_cast<engine::LinkOp*>(plan.ops[edge.source])) {
+      stats.link = static_cast<int>(link_op->link());
+    }
+    edges_.push_back(stats);
+    ports->push_back(std::make_unique<TransportPortOp>(
+        plan.ops[edge.target], edge.target, channel->sender.get(),
+        &channel->encoder, &edges_.back()));
   }
-  if (options_.parallel.batch_size == 0) options_.parallel.batch_size = 1;
+  return Status::Ok();
 }
 
-Status PartitionedRunner::Run(
-    const std::vector<Operator*>& entries,
-    const std::vector<std::vector<ItemPtr>>& item_lists, bool finish) {
-  run_stats_ = TransportRunStats{};
-  run_stats_.transport = transport_->name();
-  if (entries.size() != item_lists.size()) {
-    return Status::InvalidArgument(
-        "PartitionedRunner::Run: entries and item lists differ in count");
+void WireChannel::StartInbound(size_t w, engine::AbortState* abort,
+                               std::vector<std::thread>* helpers) {
+  for (Channel* channel : inbound_[w]) {
+    helpers->emplace_back(&WireChannel::Receive, this, w, channel, abort);
   }
-  if (options_.mode == RunnerOptions::Mode::kProcesses &&
-      !transport_->SupportsProcesses()) {
-    return Status::InvalidArgument(
-        std::string("transport '") + transport_->name() +
-        "' cannot span processes; use Mode::kThreads");
+}
+
+/// Receiver thread: decodes DATA frames into the worker's bounded queue
+/// and grants a credit only after the push went through — that handoff
+/// is what extends queue backpressure across the wire. Ends with one
+/// poison pill, whatever happened.
+void WireChannel::Receive(size_t w, Channel* channel,
+                          engine::AbortState* abort) {
+  obs::ScopedShard pinned(w);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
+  ChannelReceiver& receiver = *channel->receiver;
+  ItemDecoder decoder;
+  while (true) {
+    ChannelReceiver::Incoming in;
+    Status status = receiver.Recv(&in);
+    if (!status.ok()) {
+      abort->Record(std::move(status));
+      break;
+    }
+    if (in.type == FrameType::kEos) break;
+    if (in.type == FrameType::kError) {
+      abort->Record(Status::Internal(std::string(kRelayPrefix) + in.error));
+      break;
+    }
+    if (in.target >= plan_->ops.size() || plan_->worker_of[in.target] != w) {
+      abort->Record(Status::Internal(
+          "channel " + receiver.label() +
+          ": DATA frame routed to a foreign operator index"));
+      break;
+    }
+    engine::ItemBatch::Slot slot;
+    const bool tracing = recorder.enabled();
+    uint64_t start = tracing ? recorder.NowMicros() : 0;
+    Status decoded = decoder.DecodeSlot(in.item_bytes, &slot);
+    if (tracing) {
+      recorder.RecordComplete(
+          "codec.decode", "transport", start, recorder.NowMicros() - start,
+          {obs::TraceArg::Num("bytes",
+                              static_cast<double>(in.item_bytes.size()))});
+    }
+    if (!decoded.ok()) {
+      abort->Record(decoded.WithContext("channel " + receiver.label()));
+      break;
+    }
+    // The wire carries the stamp outside the item bytes; restore it onto
+    // the decoded slot so it keeps riding toward the sink.
+    slot.stamp = in.stamp;
+    LinkQueue::Entry entry;
+    entry.target = plan_->ops[in.target];
+    entry.batch.AppendSlot(slot);
+    queues_[w]->Push(std::move(entry));
+    receiver.GrantCredit(1);
   }
-  if (!finish && options_.mode == RunnerOptions::Mode::kProcesses) {
+  // Close promptly: the sender side holds its end open until this close
+  // arrives (DrainUntilPeerClose), which keeps TCP teardown orderly when
+  // each worker is its own process.
+  receiver.Close();
+  channel->received.items_delivered = receiver.stats().items_delivered;
+  channel->received.duplicates_discarded =
+      receiver.stats().duplicates_discarded;
+  if (obs::Enabled()) {
+    TransportSeries::Get().duplicates_discarded->Add(
+        channel->received.duplicates_discarded);
+  }
+  queues_[w]->Push(LinkQueue::Entry{});
+}
+
+void WireChannel::CloseOutbound(size_t w, engine::AbortState* abort) {
+  for (Channel* channel : outbound_[w]) {
+    Status status = abort->aborted()
+                        ? channel->sender->SendError(abort->status().ToString())
+                        : channel->sender->SendEos();
+    if (!status.ok() && !abort->aborted()) abort->Record(std::move(status));
+  }
+  // Only after EOS went down every channel: wait (bounded) for each peer
+  // to acknowledge by closing its end, so no channel still has unread
+  // CREDIT frames when this worker's fds close. A process-mode exit that
+  // skips this can turn into a TCP reset that destroys the peer's
+  // still-buffered EOS.
+  for (Channel* channel : outbound_[w]) {
+    channel->sender->DrainUntilPeerClose();
+    channel->sent = channel->sender->stats();
+  }
+  // This worker's share of the run's traffic counters (a forked worker's
+  // registry deltas travel back in its report).
+  if (!obs::Enabled()) return;
+  const TransportSeries& series = TransportSeries::Get();
+  for (const EdgeTrafficStats& edge : edges_) {
+    if (edge.source_worker != w) continue;
+    series.items_sent->Add(edge.items);
+    series.encoded_bytes->Add(edge.encoded_bytes);
+  }
+  for (Channel* channel : outbound_[w]) {
+    series.frames_sent->Add(channel->sent.frames_sent);
+    series.wire_bytes->Add(channel->sent.bytes_sent);
+    series.credit_stalls->Add(channel->sent.credit_stalls);
+  }
+}
+
+TransportRunStats WireChannel::run_stats() const {
+  TransportRunStats stats;
+  stats.transport = transport_->name();
+  stats.process_count = process_count_;
+  stats.edges = edges_;
+  for (const auto& channel : channels_) {
+    ChannelTrafficStats traffic;
+    traffic.source_worker = channel->source_worker;
+    traffic.target_worker = channel->target_worker;
+    AddChannelStats(&traffic.stats, channel->sent);
+    AddChannelStats(&traffic.stats, channel->received);
+    stats.channels.push_back(traffic);
+  }
+  return stats;
+}
+
+namespace {
+
+void PutRegistryDeltas(std::string* report) {
+  std::vector<obs::MetricSnapshot> metrics =
+      obs::MetricsRegistry::Default().Snapshot();
+  std::vector<const obs::MetricSnapshot*> histograms, counters;
+  for (const obs::MetricSnapshot& m : metrics) {
+    if (m.kind == obs::MetricSnapshot::Kind::kHistogram && m.count > 0) {
+      histograms.push_back(&m);
+    } else if (m.kind == obs::MetricSnapshot::Kind::kCounter &&
+               m.value > 0) {
+      counters.push_back(&m);
+    }
+  }
+  PutVarint(report, histograms.size());
+  for (const obs::MetricSnapshot* m : histograms) {
+    PutString(report, m->name);
+    PutVarint(report, m->bounds.size());
+    for (double bound : m->bounds) PutDouble(report, bound);
+    PutVarint(report, m->count);
+    PutDouble(report, m->sum);
+    PutDouble(report, m->max);
+    PutVarint(report, m->buckets.size());
+    for (uint64_t bucket : m->buckets) PutVarint(report, bucket);
+  }
+  PutVarint(report, counters.size());
+  for (const obs::MetricSnapshot* m : counters) {
+    PutString(report, m->name);
+    PutVarint(report, static_cast<uint64_t>(m->value));
+  }
+}
+
+bool GetRegistryDeltas(std::string_view* data) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  uint64_t histogram_count = 0;
+  bool ok = GetVarint(data, &histogram_count);
+  for (uint64_t i = 0; ok && i < histogram_count; ++i) {
+    std::string name;
+    uint64_t bound_count = 0;
+    ok = GetString(data, &name) && GetVarint(data, &bound_count) &&
+         bound_count <= 4096;
+    std::vector<double> bounds;
+    bounds.reserve(ok ? bound_count : 0);
+    for (uint64_t b = 0; ok && b < bound_count; ++b) {
+      double edge = 0.0;
+      ok = GetDouble(data, &edge);
+      bounds.push_back(edge);
+    }
+    uint64_t count = 0, bucket_count = 0;
+    double sum = 0.0, max_value = 0.0;
+    ok = ok && GetVarint(data, &count) && GetDouble(data, &sum) &&
+         GetDouble(data, &max_value) && GetVarint(data, &bucket_count) &&
+         bucket_count <= 4096;
+    std::vector<uint64_t> buckets;
+    buckets.reserve(ok ? bucket_count : 0);
+    for (uint64_t b = 0; ok && b < bucket_count; ++b) {
+      uint64_t value = 0;
+      ok = GetVarint(data, &value);
+      buckets.push_back(value);
+    }
+    if (ok) {
+      // Usually already registered pre-fork (same-process identity);
+      // the bounds only matter for a series the parent never saw.
+      registry.GetHistogram(name, std::move(bounds))
+          ->MergeCounts(buckets, count, sum, max_value);
+    }
+  }
+  uint64_t counter_count = 0;
+  ok = ok && GetVarint(data, &counter_count);
+  for (uint64_t i = 0; ok && i < counter_count; ++i) {
+    std::string name;
+    uint64_t value = 0;
+    ok = GetString(data, &name) && GetVarint(data, &value);
+    if (ok) registry.GetCounter(name)->Add(value);
+  }
+  return ok;
+}
+
+}  // namespace
+
+Status RunWorkerProcesses(engine::PartitionedRuntime* runtime,
+                          WireChannel* wire,
+                          const std::vector<Operator*>& entries,
+                          const std::vector<std::vector<ItemPtr>>& item_lists,
+                          bool adopt, bool finish) {
+  if (!wire->transport_->SupportsProcesses()) {
+    return Status::InvalidArgument(
+        std::string("transport '") + wire->transport_->name() +
+        "' cannot span processes; run its workers as threads");
+  }
+  if (!finish) {
     return Status::Unsupported(
-        "PartitionedRunner: segmented runs (finish=false) need operator "
-        "state to survive between segments, which forked worker "
-        "processes cannot provide; use Mode::kThreads");
+        "segmented runs (finish=false) need operator state to survive "
+        "between segments, which forked worker processes cannot provide; "
+        "run the workers as threads");
   }
+  Status prepared = runtime->Prepare(entries, item_lists, adopt);
+  if (!prepared.ok()) {
+    runtime->Complete();
+    return prepared;
+  }
+  const PartitionPlan& plan = runtime->plan();
+  const size_t worker_count = runtime->worker_count();
+  std::vector<std::unique_ptr<WireChannel::Channel>>& channels =
+      wire->channels_;
+  wire->process_count_ = worker_count;
 
-  PartitionPlan plan;
-  SS_RETURN_IF_ERROR(engine::PlanPeerPartitions(entries, &plan));
-  const size_t batch_size = options_.parallel.batch_size;
-
-  // Content hashes make cross-mode result comparison cheap, and in
-  // multi-process mode they are how sink contents survive the report
-  // pipe at all.
+  // Content hashes are how sink contents survive the report pipe at all.
   std::vector<SinkBaseline> sinks;
   for (size_t i = 0; i < plan.ops.size(); ++i) {
     if (auto* sink = dynamic_cast<engine::SinkOp*>(plan.ops[i])) {
@@ -568,578 +597,293 @@ Status PartitionedRunner::Run(
     }
   }
 
-  const size_t worker_count = plan.worker_count;
-  std::vector<WorkerRt> workers(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    workers[w].index = w;
-    workers[w].peers = plan.worker_peers[w];
-    workers[w].operator_count = plan.worker_operator_count[w];
-    workers[w].queue =
-        std::make_unique<LinkQueue>(options_.parallel.queue_capacity);
-    if (engine::latency::Enabled() && obs::Enabled()) {
-      // Registered before any fork, so process-mode children observe into
-      // a histogram the parent also owns and can merge reports into.
-      workers[w].queue->SetResidencyHistogram(
-          obs::MetricsRegistry::Default().GetHistogram(
-              "transport.queue.worker." + std::to_string(w) +
-                  ".residency_us",
-              obs::Histogram::ExponentialBounds(50.0, 1.6, 24)));
-    }
-  }
-  for (size_t s = 0; s < entries.size(); ++s) {
-    WorkerRt& w = workers[plan.WorkerOf(entries[s])];
-    w.entry_streams.push_back(s);
-    w.AddRoot(entries[s]);
-  }
-
-  // --- One flow-controlled channel per worker pair with cross traffic,
-  // pipes created up front (before any fork). ---
-  std::vector<std::unique_ptr<ChannelRt>> channels;
-  std::map<std::pair<size_t, size_t>, ChannelRt*> channel_of;
-  for (const PartitionPlan::CrossEdge& edge : plan.cross_edges) {
-    size_t src = plan.worker_of[edge.source];
-    size_t dst = plan.worker_of[edge.target];
-    auto key = std::make_pair(src, dst);
-    if (channel_of.count(key) != 0) continue;
-    std::string label =
-        "w" + std::to_string(src) + "->w" + std::to_string(dst);
-    PipePair pair;
-    SS_RETURN_IF_ERROR(transport_->CreatePipe(label, &pair));
-    auto channel = std::make_unique<ChannelRt>();
-    channel->source_worker = src;
-    channel->target_worker = dst;
-    channel->sender = std::make_unique<ChannelSender>(
-        label, std::move(pair.ends[0]), options_.flow, options_.faults);
-    channel->receiver = std::make_unique<ChannelReceiver>(
-        label, std::move(pair.ends[1]), options_.flow, options_.faults);
-    workers[src].outbound.push_back(channel.get());
-    workers[dst].inbound.push_back(channel.get());
-    channel_of[key] = channel.get();
-    channels.push_back(std::move(channel));
-  }
-  for (size_t w = 0; w < worker_count; ++w) {
-    workers[w].expected_pills = workers[w].inbound.size() +
-                                (workers[w].entry_streams.empty() ? 0 : 1);
-  }
-
-  // Edge stats live in run_stats_ so the ports can fill them in place;
-  // the vector is fully sized before any worker starts.
-  run_stats_.edges.reserve(plan.cross_edges.size());
-  for (const PartitionPlan::CrossEdge& edge : plan.cross_edges) {
-    EdgeTrafficStats stats;
-    stats.source_op = edge.source;
-    stats.target_op = edge.target;
-    stats.source_worker = plan.worker_of[edge.source];
-    stats.target_worker = plan.worker_of[edge.target];
-    if (auto* link_op = dynamic_cast<engine::LinkOp*>(plan.ops[edge.source])) {
-      stats.link = static_cast<int>(link_op->link());
-    }
-    run_stats_.edges.push_back(stats);
-  }
-
-  // --- Splice transport ports into every cross-worker edge. ---
-  struct Splice {
-    Operator* source;
-    Operator* original;
-    std::unique_ptr<TransportPortOp> port;
-  };
-  std::vector<Splice> splices;
-  splices.reserve(plan.cross_edges.size());
-  for (size_t e = 0; e < plan.cross_edges.size(); ++e) {
-    const PartitionPlan::CrossEdge& edge = plan.cross_edges[e];
-    Operator* source = plan.ops[edge.source];
-    Operator* target = plan.ops[edge.target];
-    size_t src = plan.worker_of[edge.source];
-    size_t dst = plan.worker_of[edge.target];
-    ChannelRt* channel = channel_of[{src, dst}];
-    auto port = std::make_unique<TransportPortOp>(
-        target, edge.target, channel->sender.get(), &channel->encoder,
-        &run_stats_.edges[e]);
-    source->ReplaceDownstream(target, port.get());
-    workers[dst].AddRoot(target);
-    splices.push_back(Splice{source, target, std::move(port)});
-  }
-
-  // --- Rebind metrics to per-worker shards. The (original, shard) pair
-  // order is deterministic first-seen order; children report shards in
-  // the same order, so the report needs no metric identities. ---
-  struct Rebind {
-    Operator* op;
-    Metrics* original;
-    Metrics* shard;
-  };
-  std::vector<Rebind> rebinds;
-  std::vector<std::vector<std::pair<Metrics*, Metrics*>>> ordered_shards(
-      worker_count);
-  {
-    std::vector<Metrics*> targets;
-    for (size_t i = 0; i < plan.ops.size(); ++i) {
-      targets.clear();
-      plan.ops[i]->AppendMetricsTargets(&targets);
-      WorkerRt& worker = workers[plan.worker_of[i]];
-      for (Metrics* original : targets) {
-        auto it = worker.shards.find(original);
-        if (it == worker.shards.end()) {
-          it = worker.shards
-                   .emplace(original, std::make_unique<Metrics>(
-                                          Metrics::ShardLike(*original)))
-                   .first;
-          ordered_shards[plan.worker_of[i]].emplace_back(original,
-                                                         it->second.get());
-        }
-        plan.ops[i]->RebindMetrics(original, it->second.get());
-        rebinds.push_back(Rebind{plan.ops[i], original, it->second.get()});
-      }
-    }
-  }
-
-  obs::TraceSpan run_span(&obs::TraceRecorder::Default(), "transport.run",
-                          "transport");
-  run_span.AddArg(obs::TraceArg::Str("transport", transport_->name()));
-  run_span.AddArg(
-      obs::TraceArg::Num("workers", static_cast<double>(worker_count)));
-
-  run_stats_.channels.reserve(channels.size());
-  for (const auto& channel : channels) {
-    ChannelTrafficStats stats;
-    stats.source_worker = channel->source_worker;
-    stats.target_worker = channel->target_worker;
-    run_stats_.channels.push_back(stats);
-  }
-  run_stats_.workers.resize(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    run_stats_.workers[w].peers = workers[w].peers;
-    run_stats_.workers[w].operator_count = workers[w].operator_count;
-  }
-
+  // --- Fork one child per worker. All pipes (transport channels and
+  // report pipes) exist before the first fork; every process then closes
+  // the ends it does not own, so EOF semantics stay exact when a process
+  // exits. ---
   Status run_status;
-  if (options_.mode == RunnerOptions::Mode::kThreads) {
-    // --- Thread mode: one thread per worker, channels stay in-process. ---
-    AbortState abort;
-    std::vector<std::thread> threads;
-    threads.reserve(worker_count);
-    for (size_t w = 0; w < worker_count; ++w) {
-      threads.emplace_back(RunWorker, &workers[w], std::cref(plan),
-                           std::cref(entries), std::cref(item_lists),
-                           batch_size, options_.parallel.adopt_records,
-                           &abort, finish);
+  std::vector<int> report_read(worker_count, -1);
+  std::vector<int> report_write(worker_count, -1);
+  for (size_t w = 0; w < worker_count && run_status.ok(); ++w) {
+    int fds[2];
+    if (::pipe(fds) != 0) {
+      run_status =
+          Status::Internal(std::string("pipe: ") + std::strerror(errno));
+      break;
     }
-    for (std::thread& thread : threads) thread.join();
-    run_status = abort.Snapshot();
+    report_read[w] = fds[0];
+    report_write[w] = fds[1];
+  }
 
-    for (WorkerRt& worker : workers) {
-      for (auto& [original, shard] : worker.shards) {
-        original->MergeFrom(*shard);
-      }
+  std::vector<pid_t> children(worker_count, -1);
+  for (size_t w = 0; w < worker_count && run_status.ok(); ++w) {
+    pid_t pid = ::fork();
+    if (pid < 0) {
+      run_status =
+          Status::Internal(std::string("fork: ") + std::strerror(errno));
+      break;
     }
-    for (size_t c = 0; c < channels.size(); ++c) {
-      AddChannelStats(&run_stats_.channels[c].stats,
-                      channels[c]->sender->stats());
-      ChannelStats receiver_side;
-      receiver_side.items_delivered =
-          channels[c]->receiver->stats().items_delivered;
-      receiver_side.duplicates_discarded =
-          channels[c]->receiver->stats().duplicates_discarded;
-      AddChannelStats(&run_stats_.channels[c].stats, receiver_side);
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      run_stats_.workers[w].entries_received =
-          workers[w].queue->pushed_count();
-      run_stats_.workers[w].producer_blocked_ns =
-          workers[w].queue->producer_blocked_ns();
-      run_stats_.workers[w].consumer_blocked_ns =
-          workers[w].queue->consumer_blocked_ns();
-      run_stats_.workers[w].max_queue_depth = workers[w].queue->max_depth();
-    }
-  } else {
-    // --- Process mode: fork one child per worker. All pipes (transport
-    // channels and report pipes) exist before the first fork; every
-    // process then closes the ends it does not own, so EOF semantics
-    // stay exact when a process exits. ---
-    run_stats_.process_count = worker_count;
-    std::vector<int> report_read(worker_count, -1);
-    std::vector<int> report_write(worker_count, -1);
-    auto close_reports = [&] {
-      for (size_t w = 0; w < worker_count; ++w) {
-        if (report_read[w] >= 0) ::close(report_read[w]);
-        if (report_write[w] >= 0) ::close(report_write[w]);
-        report_read[w] = report_write[w] = -1;
+    if (pid == 0) {
+      // === child: worker w ===
+      for (size_t x = 0; x < worker_count; ++x) {
+        if (report_read[x] >= 0) ::close(report_read[x]);
+        if (x != w && report_write[x] >= 0) ::close(report_write[x]);
       }
-    };
-    for (size_t w = 0; w < worker_count && run_status.ok(); ++w) {
-      int fds[2];
-      if (::pipe(fds) != 0) {
-        run_status = Status::Internal(std::string("pipe: ") +
-                                      std::strerror(errno));
-        break;
+      for (auto& channel : channels) {
+        if (channel->source_worker != w) channel->sender->Close();
+        if (channel->target_worker != w) channel->receiver->Close();
       }
-      report_read[w] = fds[0];
-      report_write[w] = fds[1];
-    }
+      // Zero the inherited registry (identities survive, so cached
+      // metric pointers stay valid): everything this child observes from
+      // here on is a pure run-delta its report can hand the parent.
+      obs::MetricsRegistry::Default().ResetAll();
 
-    std::vector<pid_t> children(worker_count, -1);
-    for (size_t w = 0; w < worker_count && run_status.ok(); ++w) {
-      pid_t pid = ::fork();
-      if (pid < 0) {
-        run_status = Status::Internal(std::string("fork: ") +
-                                      std::strerror(errno));
-        break;
-      }
-      if (pid == 0) {
-        // === child: worker w ===
-        for (size_t x = 0; x < worker_count; ++x) {
-          if (report_read[x] >= 0) ::close(report_read[x]);
-          if (x != w && report_write[x] >= 0) ::close(report_write[x]);
+      runtime->RunWorker(w, /*finish=*/true, /*feed=*/true);
+      Status status = runtime->abort()->status();
+
+      std::string report;
+      PutVarint(&report, kReportVersion);
+      PutVarint(&report, static_cast<uint64_t>(status.code()));
+      PutString(&report, status.ok() ? "" : status.message());
+
+      const auto& shards = runtime->shards_of(w);
+      PutVarint(&report, shards.size());
+      for (const auto& [original, shard] : shards) {
+        (void)original;
+        PutVarint(&report, shard->link_count());
+        for (size_t i = 0; i < shard->link_count(); ++i) {
+          PutVarint(&report,
+                    shard->BytesOnLink(static_cast<network::LinkId>(i)));
         }
-        for (auto& channel : channels) {
-          if (channel->source_worker != w) channel->sender->Close();
-          if (channel->target_worker != w) channel->receiver->Close();
-        }
-        // Zero the inherited registry (identities survive, so cached
-        // histogram pointers stay valid): everything this child observes
-        // from here on is a pure run-delta its report can hand the parent
-        // to MergeCounts without double counting the pre-fork totals.
-        obs::MetricsRegistry::Default().ResetAll();
-
-        AbortState abort;
-        RunWorker(&workers[w], plan, entries, item_lists, batch_size,
-                  options_.parallel.adopt_records, &abort, /*finish=*/true);
-        Status status = abort.Snapshot();
-
-        std::string report;
-        PutVarint(&report, kReportVersion);
-        PutVarint(&report, static_cast<uint64_t>(status.code()));
-        PutString(&report, status.ok() ? "" : status.message());
-
-        PutVarint(&report, ordered_shards[w].size());
-        for (const auto& [original, shard] : ordered_shards[w]) {
-          (void)original;
-          PutVarint(&report, shard->link_count());
-          for (size_t i = 0; i < shard->link_count(); ++i) {
-            PutVarint(&report, shard->BytesOnLink(
-                                   static_cast<network::LinkId>(i)));
-          }
-          PutVarint(&report, shard->peer_count());
-          for (size_t i = 0; i < shard->peer_count(); ++i) {
-            network::NodeId peer = static_cast<network::NodeId>(i);
-            PutDouble(&report, shard->WorkAtPeer(peer));
-            PutVarint(&report, shard->OperatorInvocationsAtPeer(peer));
-          }
-        }
-
-        uint64_t sink_count = 0;
-        for (const SinkBaseline& s : sinks) {
-          if (plan.worker_of[s.op_index] == w) ++sink_count;
-        }
-        PutVarint(&report, sink_count);
-        for (const SinkBaseline& s : sinks) {
-          if (plan.worker_of[s.op_index] != w) continue;
-          PutVarint(&report, s.op_index);
-          PutVarint(&report, s.sink->item_count() - s.items);
-          PutVarint(&report, s.sink->total_bytes() - s.bytes);
-          PutVarint(&report, s.sink->content_hash() - s.hash);
-        }
-
-        uint64_t edge_count = 0;
-        for (const EdgeTrafficStats& e : run_stats_.edges) {
-          if (e.source_worker == w) ++edge_count;
-        }
-        PutVarint(&report, edge_count);
-        for (size_t e = 0; e < run_stats_.edges.size(); ++e) {
-          if (run_stats_.edges[e].source_worker != w) continue;
-          PutVarint(&report, e);
-          PutVarint(&report, run_stats_.edges[e].items);
-          PutVarint(&report, run_stats_.edges[e].encoded_bytes);
-        }
-
-        uint64_t half_count = 0;
-        for (const auto& channel : channels) {
-          if (channel->source_worker == w) ++half_count;
-          if (channel->target_worker == w) ++half_count;
-        }
-        PutVarint(&report, half_count);
-        for (size_t c = 0; c < channels.size(); ++c) {
-          if (channels[c]->source_worker == w) {
-            PutVarint(&report, c);
-            PutChannelStats(&report, channels[c]->sender->stats());
-          }
-          if (channels[c]->target_worker == w) {
-            PutVarint(&report, c);
-            ChannelStats receiver_side;
-            receiver_side.items_delivered =
-                channels[c]->receiver->stats().items_delivered;
-            receiver_side.duplicates_discarded =
-                channels[c]->receiver->stats().duplicates_discarded;
-            PutChannelStats(&report, receiver_side);
-          }
-        }
-
-        PutVarint(&report, workers[w].queue->pushed_count());
-        PutVarint(&report, workers[w].queue->producer_blocked_ns());
-        PutVarint(&report, workers[w].queue->consumer_blocked_ns());
-        PutVarint(&report, workers[w].queue->max_depth());
-
-        {
-          std::vector<obs::MetricSnapshot> metrics =
-              obs::MetricsRegistry::Default().Snapshot();
-          uint64_t histogram_count = 0;
-          for (const obs::MetricSnapshot& m : metrics) {
-            if (m.kind == obs::MetricSnapshot::Kind::kHistogram &&
-                m.count > 0) {
-              ++histogram_count;
-            }
-          }
-          PutVarint(&report, histogram_count);
-          for (const obs::MetricSnapshot& m : metrics) {
-            if (m.kind != obs::MetricSnapshot::Kind::kHistogram ||
-                m.count == 0) {
-              continue;
-            }
-            PutString(&report, m.name);
-            PutVarint(&report, m.bounds.size());
-            for (double bound : m.bounds) PutDouble(&report, bound);
-            PutVarint(&report, m.count);
-            PutDouble(&report, m.sum);
-            PutDouble(&report, m.max);
-            PutVarint(&report, m.buckets.size());
-            for (uint64_t bucket : m.buckets) PutVarint(&report, bucket);
-          }
-        }
-
-        WriteAll(report_write[w], report);
-        ::close(report_write[w]);
-        ::_exit(0);
-      }
-      children[w] = pid;
-    }
-
-    // Parent: drop every pipe end the children own copies of, then
-    // collect the reports. Closing the channel ends here is essential —
-    // it makes a crashed child observable as EOF instead of a hang.
-    for (auto& channel : channels) {
-      channel->sender->Close();
-      channel->receiver->Close();
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (report_write[w] >= 0) {
-        ::close(report_write[w]);
-        report_write[w] = -1;
-      }
-    }
-
-    std::vector<Status> statuses(worker_count);
-    std::map<size_t, engine::SinkOp*> sink_by_index;
-    for (const SinkBaseline& s : sinks) sink_by_index[s.op_index] = s.sink;
-
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (children[w] < 0) {
-        statuses[w] = Status::Internal("worker " + std::to_string(w) +
-                                       ": never forked");
-        continue;
-      }
-      std::string blob;
-      bool read_ok = ReadAll(report_read[w], &blob);
-      ::close(report_read[w]);
-      report_read[w] = -1;
-
-      auto report_error = [&](const std::string& what) {
-        statuses[w] = Status::Internal(
-            "worker " + std::to_string(w) + ": " + what +
-            " (worker process crashed or was killed?)");
-      };
-      if (!read_ok) {
-        report_error("report pipe read failed");
-        continue;
-      }
-      std::string_view data = blob;
-      uint64_t version = 0, code = 0;
-      std::string message;
-      if (!GetVarint(&data, &version) || version != kReportVersion ||
-          !GetVarint(&data, &code) || !GetString(&data, &message)) {
-        report_error("truncated or malformed report");
-        continue;
-      }
-      statuses[w] = StatusFromReport(code, std::move(message));
-
-      bool ok = true;
-      uint64_t shard_count = 0;
-      ok = ok && GetVarint(&data, &shard_count) &&
-           shard_count == ordered_shards[w].size();
-      for (size_t i = 0; ok && i < shard_count; ++i) {
-        Metrics* original = ordered_shards[w][i].first;
-        uint64_t link_count = 0, peer_count = 0;
-        ok = GetVarint(&data, &link_count) &&
-             link_count == original->link_count();
-        for (uint64_t l = 0; ok && l < link_count; ++l) {
-          uint64_t bytes = 0;
-          ok = GetVarint(&data, &bytes);
-          if (ok) {
-            original->AddBytes(static_cast<network::LinkId>(l), bytes);
-          }
-        }
-        ok = ok && GetVarint(&data, &peer_count) &&
-             peer_count == original->peer_count();
-        for (uint64_t p = 0; ok && p < peer_count; ++p) {
-          double work = 0.0;
-          uint64_t invocations = 0;
-          ok = GetDouble(&data, &work) && GetVarint(&data, &invocations);
-          if (ok) {
-            original->AddMeasured(static_cast<network::NodeId>(p), work,
-                                  invocations);
-          }
+        PutVarint(&report, shard->peer_count());
+        for (size_t i = 0; i < shard->peer_count(); ++i) {
+          network::NodeId peer = static_cast<network::NodeId>(i);
+          PutDouble(&report, shard->WorkAtPeer(peer));
+          PutVarint(&report, shard->OperatorInvocationsAtPeer(peer));
         }
       }
 
       uint64_t sink_count = 0;
-      ok = ok && GetVarint(&data, &sink_count);
-      for (uint64_t i = 0; ok && i < sink_count; ++i) {
-        uint64_t op_index = 0, d_items = 0, d_bytes = 0, d_hash = 0;
-        ok = GetVarint(&data, &op_index) && GetVarint(&data, &d_items) &&
-             GetVarint(&data, &d_bytes) && GetVarint(&data, &d_hash);
-        auto it = sink_by_index.find(op_index);
-        ok = ok && it != sink_by_index.end();
-        if (ok) it->second->MergeCounts(d_items, d_bytes, d_hash);
+      for (const SinkBaseline& s : sinks) {
+        if (plan.worker_of[s.op_index] == w) ++sink_count;
+      }
+      PutVarint(&report, sink_count);
+      for (const SinkBaseline& s : sinks) {
+        if (plan.worker_of[s.op_index] != w) continue;
+        PutVarint(&report, s.op_index);
+        PutVarint(&report, s.sink->item_count() - s.items);
+        PutVarint(&report, s.sink->total_bytes() - s.bytes);
+        PutVarint(&report, s.sink->content_hash() - s.hash);
       }
 
+      const std::vector<EdgeTrafficStats>& edges = wire->edges_;
       uint64_t edge_count = 0;
-      ok = ok && GetVarint(&data, &edge_count);
-      for (uint64_t i = 0; ok && i < edge_count; ++i) {
-        uint64_t edge = 0, items = 0, encoded_bytes = 0;
-        ok = GetVarint(&data, &edge) && GetVarint(&data, &items) &&
-             GetVarint(&data, &encoded_bytes) &&
-             edge < run_stats_.edges.size();
-        if (ok) {
-          run_stats_.edges[edge].items = items;
-          run_stats_.edges[edge].encoded_bytes = encoded_bytes;
-        }
+      for (const EdgeTrafficStats& e : edges) {
+        if (e.source_worker == w) ++edge_count;
+      }
+      PutVarint(&report, edge_count);
+      for (size_t e = 0; e < edges.size(); ++e) {
+        if (edges[e].source_worker != w) continue;
+        PutVarint(&report, e);
+        PutVarint(&report, edges[e].items);
+        PutVarint(&report, edges[e].encoded_bytes);
       }
 
+      // A channel's two ends live on different workers, so (channel,
+      // reporting worker) says which half a record is.
       uint64_t half_count = 0;
-      ok = ok && GetVarint(&data, &half_count);
-      for (uint64_t i = 0; ok && i < half_count; ++i) {
-        uint64_t channel = 0;
-        ChannelStats half;
-        ok = GetVarint(&data, &channel) && GetChannelStats(&data, &half) &&
-             channel < run_stats_.channels.size();
-        if (ok) AddChannelStats(&run_stats_.channels[channel].stats, half);
+      for (const auto& channel : channels) {
+        if (channel->source_worker == w) ++half_count;
+        if (channel->target_worker == w) ++half_count;
+      }
+      PutVarint(&report, half_count);
+      for (size_t c = 0; c < channels.size(); ++c) {
+        if (channels[c]->source_worker == w) {
+          PutVarint(&report, c);
+          PutChannelStats(&report, channels[c]->sent);
+        }
+        if (channels[c]->target_worker == w) {
+          PutVarint(&report, c);
+          PutChannelStats(&report, channels[c]->received);
+        }
       }
 
-      uint64_t entries_received = 0, producer_ns = 0, consumer_ns = 0,
-               max_depth = 0;
-      ok = ok && GetVarint(&data, &entries_received) &&
-           GetVarint(&data, &producer_ns) &&
-           GetVarint(&data, &consumer_ns) && GetVarint(&data, &max_depth);
-      if (ok) {
-        run_stats_.workers[w].entries_received = entries_received;
-        run_stats_.workers[w].producer_blocked_ns = producer_ns;
-        run_stats_.workers[w].consumer_blocked_ns = consumer_ns;
-        run_stats_.workers[w].max_queue_depth = max_depth;
-      }
+      const LinkQueue& queue = runtime->queue(w);
+      PutVarint(&report, queue.pushed_count());
+      PutVarint(&report, queue.producer_blocked_ns());
+      PutVarint(&report, queue.consumer_blocked_ns());
+      PutVarint(&report, queue.max_depth());
 
-      uint64_t histogram_count = 0;
-      ok = ok && GetVarint(&data, &histogram_count);
-      for (uint64_t i = 0; ok && i < histogram_count; ++i) {
-        std::string name;
-        uint64_t bound_count = 0;
-        ok = GetString(&data, &name) && GetVarint(&data, &bound_count) &&
-             bound_count <= 4096;
-        std::vector<double> bounds;
-        bounds.reserve(ok ? bound_count : 0);
-        for (uint64_t b = 0; ok && b < bound_count; ++b) {
-          double edge = 0.0;
-          ok = GetDouble(&data, &edge);
-          bounds.push_back(edge);
-        }
-        uint64_t count = 0, bucket_count = 0;
-        double sum = 0.0, max_value = 0.0;
-        ok = ok && GetVarint(&data, &count) && GetDouble(&data, &sum) &&
-             GetDouble(&data, &max_value) &&
-             GetVarint(&data, &bucket_count) && bucket_count <= 4096;
-        std::vector<uint64_t> buckets;
-        buckets.reserve(ok ? bucket_count : 0);
-        for (uint64_t b = 0; ok && b < bucket_count; ++b) {
-          uint64_t value = 0;
-          ok = GetVarint(&data, &value);
-          buckets.push_back(value);
-        }
+      PutRegistryDeltas(&report);
+
+      WriteAll(report_write[w], report);
+      ::close(report_write[w]);
+      ::_exit(0);
+    }
+    children[w] = pid;
+  }
+
+  // Parent: drop every pipe end the children own copies of, then collect
+  // the reports. Closing the channel ends here is essential — it makes a
+  // crashed child observable as EOF instead of a hang.
+  for (auto& channel : channels) {
+    channel->sender->Close();
+    channel->receiver->Close();
+  }
+  for (size_t w = 0; w < worker_count; ++w) {
+    if (report_write[w] >= 0) ::close(report_write[w]);
+  }
+
+  std::vector<Status> statuses(worker_count);
+  std::vector<engine::ParallelWorkerStats> queue_stats(worker_count);
+  std::map<size_t, engine::SinkOp*> sink_by_index;
+  for (const SinkBaseline& s : sinks) sink_by_index[s.op_index] = s.sink;
+
+  for (size_t w = 0; w < worker_count; ++w) {
+    if (children[w] < 0) {
+      statuses[w] =
+          Status::Internal("worker " + std::to_string(w) + ": never forked");
+      if (report_read[w] >= 0) ::close(report_read[w]);
+      continue;
+    }
+    std::string blob;
+    bool read_ok = ReadAll(report_read[w], &blob);
+    ::close(report_read[w]);
+
+    auto report_error = [&](const std::string& what) {
+      statuses[w] = Status::Internal(
+          "worker " + std::to_string(w) + ": " + what +
+          " (worker process crashed or was killed?)");
+    };
+    if (!read_ok) {
+      report_error("report pipe read failed");
+      continue;
+    }
+    std::string_view data = blob;
+    uint64_t version = 0, code = 0;
+    std::string message;
+    if (!GetVarint(&data, &version) || version != kReportVersion ||
+        !GetVarint(&data, &code) || !GetString(&data, &message)) {
+      report_error("truncated or malformed report");
+      continue;
+    }
+    statuses[w] = StatusFromReport(code, std::move(message));
+
+    // Shard values land in the parent's copy of each shard; the
+    // runtime's Complete merges them like any thread worker's.
+    const auto& shards = runtime->shards_of(w);
+    uint64_t shard_count = 0;
+    bool ok = GetVarint(&data, &shard_count) && shard_count == shards.size();
+    for (size_t i = 0; ok && i < shard_count; ++i) {
+      Metrics* shard = shards[i].second;
+      uint64_t link_count = 0, peer_count = 0;
+      ok = GetVarint(&data, &link_count) && link_count == shard->link_count();
+      for (uint64_t l = 0; ok && l < link_count; ++l) {
+        uint64_t bytes = 0;
+        ok = GetVarint(&data, &bytes);
+        if (ok) shard->AddBytes(static_cast<network::LinkId>(l), bytes);
+      }
+      ok = ok && GetVarint(&data, &peer_count) &&
+           peer_count == shard->peer_count();
+      for (uint64_t p = 0; ok && p < peer_count; ++p) {
+        double work = 0.0;
+        uint64_t invocations = 0;
+        ok = GetDouble(&data, &work) && GetVarint(&data, &invocations);
         if (ok) {
-          // Usually already registered pre-fork (same-process identity);
-          // the bounds only matter for a series the parent never saw.
-          obs::MetricsRegistry::Default()
-              .GetHistogram(name, std::move(bounds))
-              ->MergeCounts(buckets, count, sum, max_value);
+          shard->AddMeasured(static_cast<network::NodeId>(p), work,
+                             invocations);
         }
-      }
-      if (!ok && statuses[w].ok()) {
-        report_error("truncated or malformed report");
-      }
-    }
-    close_reports();
-
-    for (size_t w = 0; w < worker_count; ++w) {
-      if (children[w] < 0) continue;
-      int wstatus = 0;
-      while (::waitpid(children[w], &wstatus, 0) < 0 && errno == EINTR) {
-      }
-      if (statuses[w].ok() &&
-          (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
-        statuses[w] = Status::Internal(
-            "worker " + std::to_string(w) +
-            ": process exited abnormally (status " +
-            std::to_string(wstatus) + ")");
       }
     }
 
-    // Prefer the error that originated a failure over the relays other
-    // workers recorded when the ERROR frame cascaded to them.
-    if (run_status.ok()) {
-      for (const Status& status : statuses) {
-        if (!status.ok() &&
-            status.message().compare(0, kRelayPrefix.size(),
-                                     kRelayPrefix) != 0) {
-          run_status = status;
-          break;
-        }
+    uint64_t sink_count = 0;
+    ok = ok && GetVarint(&data, &sink_count);
+    for (uint64_t i = 0; ok && i < sink_count; ++i) {
+      uint64_t op_index = 0, d_items = 0, d_bytes = 0, d_hash = 0;
+      ok = GetVarint(&data, &op_index) && GetVarint(&data, &d_items) &&
+           GetVarint(&data, &d_bytes) && GetVarint(&data, &d_hash);
+      auto it = sink_by_index.find(op_index);
+      ok = ok && it != sink_by_index.end();
+      if (ok) it->second->MergeCounts(d_items, d_bytes, d_hash);
+    }
+
+    uint64_t edge_count = 0;
+    ok = ok && GetVarint(&data, &edge_count);
+    for (uint64_t i = 0; ok && i < edge_count; ++i) {
+      uint64_t edge = 0, items = 0, encoded_bytes = 0;
+      ok = GetVarint(&data, &edge) && GetVarint(&data, &items) &&
+           GetVarint(&data, &encoded_bytes) && edge < wire->edges_.size();
+      if (ok) {
+        wire->edges_[edge].items = items;
+        wire->edges_[edge].encoded_bytes = encoded_bytes;
       }
-      if (run_status.ok()) {
-        for (const Status& status : statuses) {
-          if (!status.ok()) {
-            run_status = status;
-            break;
-          }
-        }
+    }
+
+    uint64_t half_count = 0;
+    ok = ok && GetVarint(&data, &half_count);
+    for (uint64_t i = 0; ok && i < half_count; ++i) {
+      uint64_t c = 0;
+      ChannelStats half;
+      ok = GetVarint(&data, &c) && GetChannelStats(&data, &half) &&
+           c < channels.size();
+      if (ok) {
+        (channels[c]->source_worker == w ? channels[c]->sent
+                                         : channels[c]->received) = half;
+      }
+    }
+
+    engine::ParallelWorkerStats& queue = queue_stats[w];
+    ok = ok && GetVarint(&data, &queue.entries_received) &&
+         GetVarint(&data, &queue.producer_blocked_ns) &&
+         GetVarint(&data, &queue.consumer_blocked_ns) &&
+         GetVarint(&data, &queue.max_queue_depth);
+    ok = ok && GetRegistryDeltas(&data);
+    if (!ok && statuses[w].ok()) {
+      report_error("truncated or malformed report");
+    }
+  }
+
+  for (size_t w = 0; w < worker_count; ++w) {
+    if (children[w] < 0) continue;
+    int wstatus = 0;
+    while (::waitpid(children[w], &wstatus, 0) < 0 && errno == EINTR) {
+    }
+    if (statuses[w].ok() &&
+        (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
+      statuses[w] = Status::Internal(
+          "worker " + std::to_string(w) +
+          ": process exited abnormally (status " + std::to_string(wstatus) +
+          ")");
+    }
+  }
+
+  // Prefer the error that originated a failure over the relays other
+  // workers recorded when the ERROR frame cascaded to them.
+  if (run_status.ok()) {
+    for (const Status& status : statuses) {
+      if (!status.ok() && status.message().compare(0, kRelayPrefix.size(),
+                                                   kRelayPrefix) != 0) {
+        run_status = status;
+        break;
+      }
+    }
+  }
+  if (run_status.ok()) {
+    for (const Status& status : statuses) {
+      if (!status.ok()) {
+        run_status = status;
+        break;
       }
     }
   }
 
-  // --- Restore the serial wiring and metrics bindings. ---
-  for (Splice& splice : splices) {
-    splice.source->ReplaceDownstream(splice.port.get(), splice.original);
-  }
-  for (const Rebind& rebind : rebinds) {
-    rebind.op->RebindMetrics(rebind.shard, rebind.original);
-  }
-
-  if (obs::Enabled()) {
-    const TransportSeries& series = TransportSeries::Get();
-    uint64_t items = 0, encoded = 0;
-    for (const EdgeTrafficStats& edge : run_stats_.edges) {
-      items += edge.items;
-      encoded += edge.encoded_bytes;
-    }
-    uint64_t frames = 0, wire = 0, stalls = 0, duplicates = 0;
-    for (const ChannelTrafficStats& channel : run_stats_.channels) {
-      frames += channel.stats.frames_sent;
-      wire += channel.stats.bytes_sent;
-      stalls += channel.stats.credit_stalls;
-      duplicates += channel.stats.duplicates_discarded;
-    }
-    series.items_sent->Add(items);
-    series.encoded_bytes->Add(encoded);
-    series.frames_sent->Add(frames);
-    series.wire_bytes->Add(wire);
-    series.credit_stalls->Add(stalls);
-    series.duplicates_discarded->Add(duplicates);
+  runtime->Complete();
+  std::vector<engine::ParallelWorkerStats>& stats = runtime->worker_stats();
+  for (size_t w = 0; w < stats.size(); ++w) {
+    stats[w].entries_received = queue_stats[w].entries_received;
+    stats[w].producer_blocked_ns = queue_stats[w].producer_blocked_ns;
+    stats[w].consumer_blocked_ns = queue_stats[w].consumer_blocked_ns;
+    stats[w].max_queue_depth = queue_stats[w].max_queue_depth;
   }
   return run_status;
 }

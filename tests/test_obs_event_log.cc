@@ -11,7 +11,7 @@
 
 #include "common/status.h"
 #include "engine/executor.h"
-#include "engine/parallel_executor.h"
+#include "engine/runtime.h"
 #include "obs/event_log.h"
 
 namespace streamshare {
@@ -125,7 +125,8 @@ class AlwaysFailOp final : public engine::Operator {
 
 // Satellite guarantee: a failing operator produces the identical error
 // string whether the deployment runs serially or partitioned across
-// worker threads — both executors wrap through WrapOperatorFailure.
+// worker threads — the serial executor and the partitioned runtime both
+// wrap through WrapOperatorFailure.
 TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
   std::vector<ItemPtr> items;
   for (int i = 0; i < 50; ++i) items.push_back(Leaf("n", "x"));
@@ -140,8 +141,8 @@ TEST(EventLogTest, SerialAndParallelWrapFailuresIdentically) {
   auto* parallel_entry = parallel_graph.Add<engine::PassOp>("entry[q7]");
   auto* parallel_fail = parallel_graph.Add<AlwaysFailOp>("boom");
   parallel_entry->AddDownstream(parallel_fail);
-  engine::ParallelExecutor executor;
-  Status parallel_status = executor.Run(parallel_entry, items);
+  engine::PartitionedRuntime runtime;
+  Status parallel_status = runtime.Run({parallel_entry}, {items});
 
   ASSERT_FALSE(serial_status.ok());
   ASSERT_FALSE(parallel_status.ok());

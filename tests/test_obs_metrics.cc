@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/parallel_executor.h"
+#include "engine/runtime.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
 
@@ -263,7 +263,7 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-// The parallel executor's built-in instrumentation updates
+// The partitioned runtime's built-in instrumentation updates
 // engine.parallel.{items,batches,batch_items} from every worker thread on
 // pinned shards. Whatever the interleaving, the counters and the
 // histogram must tell one consistent story: every dispatched batch is one
@@ -292,8 +292,8 @@ TEST(MetricsRegistryTest, ParallelExecutorCountersStayConsistent) {
   std::vector<ItemPtr> fed;
   for (int i = 0; i < 500; ++i) fed.push_back(Leaf("n", std::to_string(i)));
 
-  engine::ParallelExecutor executor;
-  ASSERT_TRUE(executor.Run(entry, fed).ok());
+  engine::PartitionedRuntime runtime;
+  ASSERT_TRUE(runtime.Run({entry}, {fed}).ok());
 
   const uint64_t items_delta = items->Value() - items_before;
   const uint64_t batches_delta = batches->Value() - batches_before;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/parallel_executor.h"
+#include "engine/runtime.h"
 #include "obs/trace.h"
 
 namespace streamshare {
@@ -402,7 +402,7 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-// End-to-end: the parallel executor's built-in instrumentation (worker
+// End-to-end: the partitioned runtime's built-in instrumentation (worker
 // tracks, dispatch spans, the parallel.run span) must produce a parseable
 // trace with well-nested spans on every track.
 TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
@@ -419,8 +419,8 @@ TEST(TraceRecorderTest, ParallelRunEmitsWellNestedTrace) {
   entry->AddDownstream(sink);
   std::vector<ItemPtr> items;
   for (int i = 0; i < 300; ++i) items.push_back(Leaf("n", std::to_string(i)));
-  engine::ParallelExecutor executor;
-  Status status = executor.Run(entry, items);
+  engine::PartitionedRuntime runtime;
+  Status status = runtime.Run({entry}, {items});
 
   recorder.SetEnabled(false);
   ASSERT_TRUE(status.ok());

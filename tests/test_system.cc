@@ -325,7 +325,7 @@ TEST_F(SystemTest, DescribeDeploymentSnapshots) {
   EXPECT_NE(report.find("consumers"), std::string::npos);
   EXPECT_NE(report.find("q0 [active]"), std::string::npos);
   EXPECT_NE(report.find("q1 [active]"), std::string::npos);
-  ASSERT_TRUE(system_->UnregisterQuery(1).ok());
+  ASSERT_TRUE(system_->Unsubscribe(1).ok());
   report = system_->DescribeDeployment();
   EXPECT_NE(report.find("q1 [deregistered]"), std::string::npos);
   EXPECT_NE(report.find("[retired]"), std::string::npos);

@@ -1,9 +1,9 @@
-// The partitioned transport runner's contract: results and merged
-// metrics identical to a serial run — over loopback threads, TCP
-// threads, and (outside TSAN) TCP with every worker fork()ed into its
-// own OS process — plus serial-wiring restore, measured traffic stats,
-// fault-injection failure propagation, and sink content hashes that
-// survive the cross-process report.
+// The wire channel's own contract, beyond what test_runtime.cc checks on
+// every channel: fault-injection symptoms, and process mode — results
+// and merged metrics identical to a serial run with every worker
+// fork()ed into its own OS process (outside TSAN), sink content hashes
+// that survive the cross-process report, and errors that travel out of
+// a child.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "engine/executor.h"
 #include "engine/metrics.h"
 #include "engine/operator.h"
-#include "engine/parallel_executor.h"
+#include "engine/runtime.h"
 #include "network/topology.h"
 #include "transport/loopback.h"
 #include "transport/runner.h"
@@ -40,9 +40,8 @@ namespace {
 using engine::ItemPtr;
 using engine::Operator;
 using transport::LoopbackTransport;
-using transport::PartitionedRunner;
-using transport::RunnerOptions;
 using transport::TcpTransport;
+using transport::WireChannel;
 
 ItemPtr Leaf(const std::string& name, const std::string& text) {
   auto node = std::make_unique<xml::XmlNode>(name);
@@ -50,37 +49,15 @@ ItemPtr Leaf(const std::string& name, const std::string& text) {
   return engine::MakeItem(std::move(node));
 }
 
-/// One transport/mode combination under test.
-struct RunnerCase {
-  const char* label;
-  const char* transport;  // "loopback" | "tcp"
-  RunnerOptions::Mode mode;
-};
-
-std::unique_ptr<transport::Transport> MakeTransport(const char* name) {
-  if (std::string(name) == "tcp") return std::make_unique<TcpTransport>();
-  return std::make_unique<LoopbackTransport>();
-}
-
-std::vector<RunnerCase> AllCases() {
-  std::vector<RunnerCase> cases = {
-      {"loopback-threads", "loopback", RunnerOptions::Mode::kThreads},
-      {"tcp-threads", "tcp", RunnerOptions::Mode::kThreads},
-  };
-#if !STREAMSHARE_TSAN
-  cases.push_back(
-      {"tcp-processes", "tcp", RunnerOptions::Mode::kProcesses});
-#endif
-  return cases;
-}
-
 /// Runs the extended-example scenario (Fig. 6: 8 super-peers, 25
-/// queries) serial and over the given transport on two identically
-/// built systems and demands item-for-item identical sink contents and
+/// queries) serial and over TCP with one OS process per worker on two
+/// identically built systems and demands identical sink contents and
 /// equal merged metrics — the acceptance bar from the paper repro: the
 /// distribution mechanism must be invisible in the results.
-void ExpectTransportMatchesSerial(const RunnerCase& test_case) {
-  SCOPED_TRACE(test_case.label);
+TEST(TransportRunnerTest, MatchesSerialOnExtendedWorkload) {
+#if STREAMSHARE_TSAN
+  GTEST_SKIP() << "process mode forks, which TSAN does not support";
+#endif
   workload::ScenarioSpec scenario =
       workload::ExtendedExampleScenario(/*seed=*/11, /*query_count=*/25);
 
@@ -89,9 +66,8 @@ void ExpectTransportMatchesSerial(const RunnerCase& test_case) {
 
   sharing::SystemConfig transport_config = serial_config;
   transport_config.executor = sharing::ExecutorKind::kTransport;
-  transport_config.transport = test_case.transport;
-  transport_config.transport_processes =
-      test_case.mode == RunnerOptions::Mode::kProcesses;
+  transport_config.transport = "tcp";
+  transport_config.transport_processes = true;
 
   constexpr size_t kItems = 300;
   Result<workload::ScenarioRun> serial = workload::RunScenario(
@@ -119,9 +95,9 @@ void ExpectTransportMatchesSerial(const RunnerCase& test_case) {
               wire_regs[q].sink->total_bytes())
         << "query " << q << " result bytes diverged";
     if (serial_regs[q].sink->item_count() > 0) ++sinks_with_output;
-    // In process mode the items themselves stayed in the children; the
-    // order-insensitive content hash came back in the report and must
-    // match a hash of the serial results.
+    // The items themselves stayed in the children; the order-insensitive
+    // content hash came back in the report and must match a hash of the
+    // serial results.
     engine::SinkOp hasher("h");
     hasher.EnableContentHash();
     for (const ItemPtr& item : serial_regs[q].sink->items()) {
@@ -133,7 +109,7 @@ void ExpectTransportMatchesSerial(const RunnerCase& test_case) {
   EXPECT_GT(sinks_with_output, 0u) << "workload produced no output at all";
 
   // Merged metrics equal the serial counters (work within FP merge
-  // tolerance), exactly like the in-process parallel executor.
+  // tolerance), exactly like a thread-mode run.
   const engine::Metrics& sm = serial->system->metrics();
   const engine::Metrics& tm = over_wire->system->metrics();
   ASSERT_EQ(sm.link_count(), tm.link_count());
@@ -153,12 +129,14 @@ void ExpectTransportMatchesSerial(const RunnerCase& test_case) {
         << "peer " << peer;
   }
 
-  // The run went over the wire: partitioned across several workers,
-  // with measured traffic on the cross edges.
+  // The run went over the wire, one process per worker, with measured
+  // traffic on the cross edges and queue stats from every child.
   const transport::TransportRunStats& stats =
       over_wire->system->transport_stats();
-  EXPECT_EQ(stats.transport, test_case.transport);
-  EXPECT_GT(stats.workers.size(), 1u);
+  const auto& workers = over_wire->system->parallel_stats();
+  EXPECT_EQ(stats.transport, "tcp");
+  EXPECT_GT(workers.size(), 1u);
+  EXPECT_EQ(stats.process_count, workers.size());
   EXPECT_FALSE(stats.edges.empty());
   EXPECT_FALSE(stats.channels.empty());
   uint64_t items_crossed = 0, encoded_bytes = 0;
@@ -174,47 +152,14 @@ void ExpectTransportMatchesSerial(const RunnerCase& test_case) {
   }
   EXPECT_EQ(frames, items_crossed)
       << "every cross-edge item travels as exactly one DATA frame";
-  if (test_case.mode == RunnerOptions::Mode::kProcesses) {
-    EXPECT_EQ(stats.process_count, stats.workers.size());
-  } else {
-    EXPECT_EQ(stats.process_count, 0u);
+  uint64_t entries = 0;
+  for (const engine::ParallelWorkerStats& worker : workers) {
+    entries += worker.entries_received;
   }
+  EXPECT_GT(entries, 0u);
 }
 
-TEST(TransportRunnerTest, MatchesSerialOnExtendedWorkload) {
-  for (const RunnerCase& test_case : AllCases()) {
-    ExpectTransportMatchesSerial(test_case);
-  }
-}
-
-TEST(TransportRunnerTest, TinyQueuesAndCreditsBackpressureWithoutDeadlock) {
-  // Capacity-1 queues and a 2-credit window: every handoff stalls, both
-  // locally and across the wire, and the run must still complete.
-  RunnerCase test_case{"loopback-threads", "loopback",
-                       RunnerOptions::Mode::kThreads};
-  SCOPED_TRACE("squeezed");
-  workload::ScenarioSpec scenario =
-      workload::ExtendedExampleScenario(/*seed=*/11, /*query_count=*/10);
-
-  sharing::SystemConfig config;
-  config.keep_results = true;
-  config.executor = sharing::ExecutorKind::kTransport;
-  config.transport = test_case.transport;
-  config.parallel.queue_capacity = 1;
-  config.parallel.batch_size = 1;
-  config.flow.initial_credits = 2;
-
-  Result<workload::ScenarioRun> run = workload::RunScenario(
-      scenario, sharing::Strategy::kStreamSharing, config, /*items=*/150);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  uint64_t stalls = 0;
-  for (const auto& channel : run->system->transport_stats().channels) {
-    stalls += channel.stats.credit_stalls;
-  }
-  EXPECT_GT(stalls, 0u) << "a 2-credit window never stalling is a bug";
-}
-
-// --- Direct runner tests on a hand-built two-peer graph ------------------
+// --- Direct wire tests on a hand-built two-peer graph --------------------
 
 struct SmallGraph {
   engine::OperatorGraph graph;
@@ -251,42 +196,6 @@ void BuildSmallGraph(SmallGraph* g) {
   g->sink = sink;
 }
 
-TEST(TransportRunnerTest, RestoresSerialWiring) {
-  SmallGraph g;
-  BuildSmallGraph(&g);
-  ASSERT_TRUE(g.entry != nullptr);
-
-  std::vector<std::vector<Operator*>> before;
-  for (Operator* op = g.entry; op != nullptr;
-       op = op->downstreams().empty() ? nullptr : op->downstreams()[0]) {
-    before.push_back(op->downstreams());
-  }
-
-  std::vector<ItemPtr> items;
-  for (int i = 0; i < 100; ++i) items.push_back(Leaf("n", std::to_string(i)));
-
-  LoopbackTransport transport;
-  PartitionedRunner runner(&transport, RunnerOptions{});
-  ASSERT_TRUE(runner.Run({g.entry}, {items}).ok());
-
-  std::vector<std::vector<Operator*>> after;
-  for (Operator* op = g.entry; op != nullptr;
-       op = op->downstreams().empty() ? nullptr : op->downstreams()[0]) {
-    after.push_back(op->downstreams());
-  }
-  EXPECT_EQ(before, after);
-
-  ASSERT_EQ(g.sink->item_count(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(g.sink->items()[i]->text(), std::to_string(i));
-  }
-  // The cross edge is attributed to the topology link the LinkOp rides.
-  const transport::TransportRunStats& stats = runner.run_stats();
-  ASSERT_EQ(stats.edges.size(), 1u);
-  EXPECT_EQ(stats.edges[0].link, g.link);
-  EXPECT_EQ(stats.edges[0].items, 100u);
-}
-
 TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
   SmallGraph g;
   BuildSmallGraph(&g);
@@ -294,11 +203,12 @@ TEST(TransportRunnerTest, DropFaultFailsTheRunCleanly) {
   std::vector<ItemPtr> items;
   for (int i = 0; i < 50; ++i) items.push_back(Leaf("n", "x"));
 
-  RunnerOptions options;
-  options.faults.drop_period = 10;
+  transport::FaultPlan faults;
+  faults.drop_period = 10;
   LoopbackTransport transport;
-  PartitionedRunner runner(&transport, options);
-  Status status = runner.Run({g.entry}, {items});
+  WireChannel wire(&transport, transport::FlowOptions{}, faults);
+  engine::PartitionedRuntime runtime(engine::ParallelOptions(), &wire);
+  Status status = runtime.Run({g.entry}, {items});
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("loss"), std::string::npos)
       << status.ToString();
@@ -311,11 +221,12 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
   std::vector<ItemPtr> items;
   for (int i = 0; i < 60; ++i) items.push_back(Leaf("n", std::to_string(i)));
 
-  RunnerOptions options;
-  options.faults.duplicate_period = 4;
+  transport::FaultPlan faults;
+  faults.duplicate_period = 4;
   LoopbackTransport transport;
-  PartitionedRunner runner(&transport, options);
-  ASSERT_TRUE(runner.Run({g.entry}, {items}).ok());
+  WireChannel wire(&transport, transport::FlowOptions{}, faults);
+  engine::PartitionedRuntime runtime(engine::ParallelOptions(), &wire);
+  ASSERT_TRUE(runtime.Run({g.entry}, {items}).ok());
 
   // Duplicates were discarded before delivery: results are untouched.
   ASSERT_EQ(g.sink->item_count(), 60u);
@@ -323,16 +234,19 @@ TEST(TransportRunnerTest, DuplicateFaultIsAbsorbedByTheReceiver) {
     EXPECT_EQ(g.sink->items()[i]->text(), std::to_string(i));
   }
   uint64_t discarded = 0;
-  for (const auto& channel : runner.run_stats().channels) {
+  for (const auto& channel : wire.run_stats().channels) {
     discarded += channel.stats.duplicates_discarded;
   }
   EXPECT_EQ(discarded, 15u);  // every 4th of 60 frames
 }
 
 TEST(TransportRunnerTest, OperatorFailurePropagatesAcrossTheWire) {
-  // The failing operator lives downstream of the cross edge; its error
-  // must travel back out of the worker (and, in process mode, out of the
-  // child process) without wedging any channel.
+#if STREAMSHARE_TSAN
+  GTEST_SKIP() << "process mode forks, which TSAN does not support";
+#endif
+  // The failing operator lives downstream of the cross edge, in its own
+  // child process; its error must travel back out of the child without
+  // wedging any channel.
   class FailAfterOp final : public Operator {
    public:
     FailAfterOp(std::string label, int fail_after)
@@ -355,52 +269,42 @@ TEST(TransportRunnerTest, OperatorFailurePropagatesAcrossTheWire) {
   ASSERT_TRUE(link.ok());
   engine::Metrics metrics(topology);
 
-  for (const RunnerCase& test_case : AllCases()) {
-    SCOPED_TRACE(test_case.label);
-    engine::OperatorGraph graph;
-    auto* entry = graph.Add<engine::PassOp>("entry");
-    auto* link_op = graph.Add<engine::LinkOp>("link", &metrics, *link);
-    auto* fail = graph.Add<FailAfterOp>("fail", 5);
-    auto* sink = graph.Add<engine::SinkOp>("sink");
-    entry->SetAccounting(&metrics, p0, 1.0);
-    link_op->SetAccounting(&metrics, p0, 0.5);
-    fail->SetAccounting(&metrics, p1, 1.0);
-    entry->AddDownstream(link_op);
-    link_op->AddDownstream(fail);
-    fail->AddDownstream(sink);
+  engine::OperatorGraph graph;
+  auto* entry = graph.Add<engine::PassOp>("entry");
+  auto* link_op = graph.Add<engine::LinkOp>("link", &metrics, *link);
+  auto* fail = graph.Add<FailAfterOp>("fail", 5);
+  auto* sink = graph.Add<engine::SinkOp>("sink");
+  entry->SetAccounting(&metrics, p0, 1.0);
+  link_op->SetAccounting(&metrics, p0, 0.5);
+  fail->SetAccounting(&metrics, p1, 1.0);
+  entry->AddDownstream(link_op);
+  link_op->AddDownstream(fail);
+  fail->AddDownstream(sink);
 
-    std::vector<ItemPtr> items;
-    for (int i = 0; i < 500; ++i) items.push_back(Leaf("n", "x"));
+  std::vector<ItemPtr> items;
+  for (int i = 0; i < 500; ++i) items.push_back(Leaf("n", "x"));
 
-    auto transport = MakeTransport(test_case.transport);
-    RunnerOptions options;
-    options.mode = test_case.mode;
-    PartitionedRunner runner(transport.get(), options);
-    Status status = runner.Run({entry}, {items});
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.ToString().find("injected failure"),
-              std::string::npos)
-        << status.ToString();
-  }
-}
-
-TEST(TransportRunnerTest, EmptyStreamStillFinishes) {
-  SmallGraph g;
-  BuildSmallGraph(&g);
-  LoopbackTransport transport;
-  PartitionedRunner runner(&transport, RunnerOptions{});
-  ASSERT_TRUE(runner.Run({g.entry}, {{}}).ok());
-  EXPECT_EQ(g.sink->item_count(), 0u);
+  TcpTransport transport;
+  WireChannel wire(&transport, transport::FlowOptions{},
+                   transport::FaultPlan{});
+  engine::PartitionedRuntime runtime(engine::ParallelOptions(), &wire);
+  Status status = transport::RunWorkerProcesses(
+      &runtime, &wire, {entry}, {items}, /*adopt=*/true, /*finish=*/true);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("injected failure"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(TransportRunnerTest, ProcessModeRequiresForkSafeTransport) {
   SmallGraph g;
   BuildSmallGraph(&g);
-  RunnerOptions options;
-  options.mode = RunnerOptions::Mode::kProcesses;
   LoopbackTransport transport;  // SupportsProcesses() == false
-  PartitionedRunner runner(&transport, options);
-  Status status = runner.Run({g.entry}, {{Leaf("n", "x")}});
+  WireChannel wire(&transport, transport::FlowOptions{},
+                   transport::FaultPlan{});
+  engine::PartitionedRuntime runtime(engine::ParallelOptions(), &wire);
+  Status status = transport::RunWorkerProcesses(
+      &runtime, &wire, {g.entry}, {{Leaf("n", "x")}}, /*adopt=*/true,
+      /*finish=*/true);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
       << status.ToString();

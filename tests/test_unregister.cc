@@ -1,6 +1,6 @@
-// Tests for subscription deregistration: chain detachment, stream
-// retirement, resource release, consumer protection, and correctness of
-// the surviving subscriptions.
+// Tests for subscription deregistration (refcounted Unsubscribe): chain
+// detachment, stream retirement, resource release, widening protection,
+// and correctness of the surviving subscriptions.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ TEST_F(UnregisterTest, ReleasesResourcesAndRetiresStreams) {
   double used = TotalBandwidth();
   EXPECT_GT(used, 0.0);
 
-  ASSERT_TRUE(system_->UnregisterQuery(q1->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(q1->query_id).ok());
   EXPECT_FALSE(system_->IsActive(q1->query_id));
   EXPECT_NEAR(TotalBandwidth(), 0.0, 1e-9);
   // The derived stream is retired: a fresh identical query cannot reuse
@@ -82,30 +82,11 @@ TEST_F(UnregisterTest, DetachedQueriesReceiveNothing) {
   Result<sharing::RegistrationResult> drop = system_->RegisterQuery(
       workload::kQuery3, 3, sharing::Strategy::kStreamSharing);
   ASSERT_TRUE(drop.ok());
-  ASSERT_TRUE(system_->UnregisterQuery(drop->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(drop->query_id).ok());
 
   ASSERT_TRUE(Run(1500).ok());
   EXPECT_GT(keep->sink->item_count(), 0u);
   EXPECT_EQ(drop->sink->item_count(), 0u);
-}
-
-TEST_F(UnregisterTest, ConsumersBlockDeregistration) {
-  Result<sharing::RegistrationResult> q1 = system_->RegisterQuery(
-      workload::kQuery1, 1, sharing::Strategy::kStreamSharing);
-  ASSERT_TRUE(q1.ok());
-  Result<sharing::RegistrationResult> q2 = system_->RegisterQuery(
-      workload::kQuery2, 7, sharing::Strategy::kStreamSharing);
-  ASSERT_TRUE(q2.ok());
-  ASSERT_GT(q2->plan.inputs[0].reused_stream, 0);  // q2 consumes q1's
-
-  Status blocked = system_->UnregisterQuery(q1->query_id);
-  EXPECT_TRUE(blocked.IsInvalidArgument()) << blocked;
-  EXPECT_TRUE(system_->IsActive(q1->query_id));
-
-  // Consumers-first order works.
-  ASSERT_TRUE(system_->UnregisterQuery(q2->query_id).ok());
-  ASSERT_TRUE(system_->UnregisterQuery(q1->query_id).ok());
-  EXPECT_NEAR(TotalBandwidth(), 0.0, 1e-9);
 }
 
 TEST_F(UnregisterTest, SurvivingQueriesUnaffected) {
@@ -117,22 +98,22 @@ TEST_F(UnregisterTest, SurvivingQueriesUnaffected) {
   ASSERT_TRUE(q3.ok());
   // q3 reuses q1's stream, so remove q3 (the leaf) and verify q1 still
   // produces exactly its own results.
-  ASSERT_TRUE(system_->UnregisterQuery(q3->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(q3->query_id).ok());
   ASSERT_TRUE(Run(1000).ok());
   EXPECT_GT(q1->sink->item_count(), 0u);
   EXPECT_EQ(q3->sink->item_count(), 0u);
 }
 
 TEST_F(UnregisterTest, InvalidIdsRejected) {
-  EXPECT_TRUE(system_->UnregisterQuery(-1).IsNotFound());
-  EXPECT_TRUE(system_->UnregisterQuery(99).IsNotFound());
+  EXPECT_TRUE(system_->Unsubscribe(-1).IsNotFound());
+  EXPECT_TRUE(system_->Unsubscribe(99).IsNotFound());
   EXPECT_FALSE(system_->IsActive(0));
   Result<sharing::RegistrationResult> q1 = system_->RegisterQuery(
       workload::kQuery1, 1, sharing::Strategy::kStreamSharing);
   ASSERT_TRUE(q1.ok());
-  ASSERT_TRUE(system_->UnregisterQuery(q1->query_id).ok());
+  ASSERT_TRUE(system_->Unsubscribe(q1->query_id).ok());
   // Double deregistration is rejected.
-  EXPECT_TRUE(system_->UnregisterQuery(q1->query_id).IsNotFound());
+  EXPECT_TRUE(system_->Unsubscribe(q1->query_id).IsNotFound());
 }
 
 TEST_F(UnregisterTest, DoubleUnsubscribeIsNotFoundOnBothPlanes) {
@@ -142,8 +123,7 @@ TEST_F(UnregisterTest, DoubleUnsubscribeIsNotFoundOnBothPlanes) {
   ASSERT_TRUE(system_->Unsubscribe(q1->query_id).ok());
 
   // Every not-an-active-subscription shape answers NotFound, with a
-  // message naming why, on the recovery-aware Unsubscribe path and the
-  // plain UnregisterQuery path alike.
+  // message naming why.
   Status removed = system_->Unsubscribe(q1->query_id);
   EXPECT_TRUE(removed.IsNotFound()) << removed;
   EXPECT_NE(removed.message().find("already unsubscribed"),
@@ -155,10 +135,7 @@ TEST_F(UnregisterTest, DoubleUnsubscribeIsNotFoundOnBothPlanes) {
   EXPECT_NE(never.message().find("never registered"), std::string::npos)
       << never.message();
 
-  EXPECT_TRUE(system_->UnregisterQuery(q1->query_id).IsNotFound());
-  EXPECT_TRUE(system_->UnregisterQuery(777).IsNotFound());
-
-  // CheckActiveSubscription is the shared predicate behind both.
+  // CheckActiveSubscription is the predicate behind it.
   EXPECT_TRUE(system_->CheckActiveSubscription(q1->query_id).IsNotFound());
   EXPECT_TRUE(system_->CheckActiveSubscription(-1).IsNotFound());
 }
@@ -193,7 +170,7 @@ TEST_F(UnregisterTest, WideningQueriesCannotUnregister) {
   ASSERT_TRUE(widener.ok());
   ASSERT_TRUE(widener->plan.inputs[0].widening.has_value());
   EXPECT_TRUE(
-      system_->UnregisterQuery(widener->query_id).IsInvalidArgument());
+      system_->Unsubscribe(widener->query_id).IsInvalidArgument());
 }
 
 }  // namespace

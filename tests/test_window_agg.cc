@@ -296,38 +296,44 @@ TEST_P(CombineSweep, RecombinationMatchesDirectAggregation) {
       WindowSpec::Diff(P("t"), Decimal::FromInt(c.coarse_size),
                        Decimal::FromInt(c.coarse_step))
           .value();
-  for (AggregateFunc func :
-       {AggregateFunc::kSum, AggregateFunc::kCount, AggregateFunc::kAvg,
-        AggregateFunc::kMin, AggregateFunc::kMax}) {
-    OperatorGraph graph;
-    auto* fine_agg = graph.Add<WindowAggOp>("f", func, P("x"), fine);
-    auto* combine = graph.Add<AggCombineOp>("c", func, fine, coarse);
-    auto* cs = graph.Add<SinkOp>("cs", true);
-    fine_agg->AddDownstream(combine);
-    combine->AddDownstream(cs);
-    auto* direct = graph.Add<WindowAggOp>("d", func, P("x"), coarse);
-    auto* ds = graph.Add<SinkOp>("ds", true);
-    direct->AddDownstream(ds);
+  // The stream's first item lies inside fine window 0, past its end, or
+  // several coarse windows in: every fine window the fine aggregate
+  // fast-forwarded past counts as empty, as it does for the direct one.
+  for (double start : {0.5, 25.0, 77.5}) {
+    SCOPED_TRACE("first item at t=" + std::to_string(start));
+    for (AggregateFunc func :
+         {AggregateFunc::kSum, AggregateFunc::kCount, AggregateFunc::kAvg,
+          AggregateFunc::kMin, AggregateFunc::kMax}) {
+      OperatorGraph graph;
+      auto* fine_agg = graph.Add<WindowAggOp>("f", func, P("x"), fine);
+      auto* combine = graph.Add<AggCombineOp>("c", func, fine, coarse);
+      auto* cs = graph.Add<SinkOp>("cs", true);
+      fine_agg->AddDownstream(combine);
+      combine->AddDownstream(cs);
+      auto* direct = graph.Add<WindowAggOp>("d", func, P("x"), coarse);
+      auto* ds = graph.Add<SinkOp>("ds", true);
+      direct->AddDownstream(ds);
 
-    std::vector<ItemPtr> items;
-    for (int t = 0; t < 600; t += 2) {
-      items.push_back(TimedItem(t + 0.5, (t * 11) % 17));
-    }
-    ASSERT_TRUE(RunStream(fine_agg, items).ok());
-    ASSERT_TRUE(RunStream(direct, items).ok());
-    std::vector<AggItem> combined = Collect(*cs);
-    std::vector<AggItem> reference = Collect(*ds);
-    ASSERT_GT(combined.size(), 0u);
-    ASSERT_LE(combined.size(), reference.size());
-    for (size_t i = 0; i < combined.size(); ++i) {
-      EXPECT_EQ(combined[i].seq, reference[i].seq);
-      if (func == AggregateFunc::kMin || func == AggregateFunc::kMax) {
-        EXPECT_EQ(combined[i].value, reference[i].value)
-            << "func " << static_cast<int>(func) << " window " << i;
-      } else {
-        EXPECT_EQ(combined[i].sum, reference[i].sum)
-            << "func " << static_cast<int>(func) << " window " << i;
-        EXPECT_EQ(combined[i].count, reference[i].count);
+      std::vector<ItemPtr> items;
+      for (int t = 0; t < 600; t += 2) {
+        items.push_back(TimedItem(t + start, (t * 11) % 17));
+      }
+      ASSERT_TRUE(RunStream(fine_agg, items).ok());
+      ASSERT_TRUE(RunStream(direct, items).ok());
+      std::vector<AggItem> combined = Collect(*cs);
+      std::vector<AggItem> reference = Collect(*ds);
+      ASSERT_GT(combined.size(), 0u);
+      ASSERT_EQ(combined.size(), reference.size());
+      for (size_t i = 0; i < combined.size(); ++i) {
+        EXPECT_EQ(combined[i].seq, reference[i].seq);
+        if (func == AggregateFunc::kMin || func == AggregateFunc::kMax) {
+          EXPECT_EQ(combined[i].value, reference[i].value)
+              << "func " << static_cast<int>(func) << " window " << i;
+        } else {
+          EXPECT_EQ(combined[i].sum, reference[i].sum)
+              << "func " << static_cast<int>(func) << " window " << i;
+          EXPECT_EQ(combined[i].count, reference[i].count);
+        }
       }
     }
   }
@@ -339,8 +345,51 @@ INSTANTIATE_TEST_SUITE_P(
                       CombineCase{20, 10, 20, 10},   // identity
                       CombineCase{10, 10, 50, 20},   // tumbling fine
                       CombineCase{20, 10, 40, 10},   // same step
+                      CombineCase{20, 10, 40, 20},   // same shape, 2x
                       CombineCase{10, 5, 30, 30},    // tumbling coarse
                       CombineCase{10, 10, 100, 50}));
+
+// A deployment rebuilt mid-stream anchors every window operator at the
+// first window starting at or after its first item. The resumed
+// combiner must skip the coarse windows whose early parts it never
+// sees (gap, not garbage) and then agree with a resumed direct
+// aggregation window for window.
+TEST(AggCombineTest, ResumedCombinerSkipsWindowsItCannotComplete) {
+  WindowSpec fine =
+      WindowSpec::Diff(P("t"), Decimal::FromInt(20), Decimal::FromInt(10))
+          .value();
+  WindowSpec coarse =
+      WindowSpec::Diff(P("t"), Decimal::FromInt(40), Decimal::FromInt(20))
+          .value();
+  OperatorGraph graph;
+  auto* fine_agg = graph.Add<WindowAggOp>("f", AggregateFunc::kMin, P("x"),
+                                          fine, /*resume=*/true);
+  auto* combine = graph.Add<AggCombineOp>("c", AggregateFunc::kMin, fine,
+                                          coarse, /*resume=*/true);
+  auto* cs = graph.Add<SinkOp>("cs", true);
+  fine_agg->AddDownstream(combine);
+  combine->AddDownstream(cs);
+  auto* direct = graph.Add<WindowAggOp>("d", AggregateFunc::kMin, P("x"),
+                                        coarse, /*resume=*/true);
+  auto* ds = graph.Add<SinkOp>("ds", true);
+  direct->AddDownstream(ds);
+
+  std::vector<ItemPtr> items;
+  for (int t = 25; t < 400; t += 3) {
+    items.push_back(TimedItem(t, (t * 7) % 13));
+  }
+  ASSERT_TRUE(RunStream(fine_agg, items).ok());
+  ASSERT_TRUE(RunStream(direct, items).ok());
+  std::vector<AggItem> combined = Collect(*cs);
+  std::vector<AggItem> reference = Collect(*ds);
+  ASSERT_FALSE(combined.empty());
+  ASSERT_EQ(combined.size(), reference.size());
+  EXPECT_EQ(combined[0].seq, 2);  // coarse windows 0 and 1 need parts < 30
+  for (size_t i = 0; i < combined.size(); ++i) {
+    EXPECT_EQ(combined[i].seq, reference[i].seq);
+    EXPECT_EQ(combined[i].value, reference[i].value) << "window " << i;
+  }
+}
 
 TEST(AggFilterTest, FiltersOnFinalizedValue) {
   OperatorGraph graph;
