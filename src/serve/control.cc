@@ -458,19 +458,24 @@ Result<ReoptimizeReply> DecodeReoptimizeReply(std::string_view payload) {
   return reply;
 }
 
+void AppendResultHeader(std::string* out, int64_t query_id, uint64_t seq,
+                        uint64_t delivery_us, uint64_t send_us) {
+  PutVarint(out, Zig(query_id));
+  PutVarint(out, seq);
+  // The DATA v2 stamp layout: flags, send tick, delta to the earlier
+  // tick, queue µs, transport µs — stateless per frame.
+  PutVarint(out, 1);  // flags bit 0: stamped
+  PutVarint(out, send_us);
+  PutVarint(out, send_us >= delivery_us ? send_us - delivery_us : 0);
+  PutVarint(out, send_us >= delivery_us ? send_us - delivery_us : 0);
+  PutVarint(out, 0);  // transport µs accumulates on the client wire
+}
+
 std::string EncodeResultFrame(int64_t query_id, uint64_t seq,
                               uint64_t delivery_us, uint64_t send_us,
                               std::string_view encoded_item) {
   std::string out;
-  PutVarint(&out, Zig(query_id));
-  PutVarint(&out, seq);
-  // The DATA v2 stamp layout: flags, send tick, delta to the earlier
-  // tick, queue µs, transport µs — stateless per frame.
-  PutVarint(&out, 1);  // flags bit 0: stamped
-  PutVarint(&out, send_us);
-  PutVarint(&out, send_us >= delivery_us ? send_us - delivery_us : 0);
-  PutVarint(&out, send_us >= delivery_us ? send_us - delivery_us : 0);
-  PutVarint(&out, 0);  // transport µs accumulates on the client wire
+  AppendResultHeader(&out, query_id, seq, delivery_us, send_us);
   out.append(encoded_item);
   return out;
 }

@@ -233,6 +233,10 @@ struct ResultFrame {
   std::string_view item;     // encoded item bytes
 };
 
+/// Appends a RESULT frame body's header (query id, seq, stamp) to *out;
+/// the encoded item follows it.
+void AppendResultHeader(std::string* out, int64_t query_id, uint64_t seq,
+                        uint64_t delivery_us, uint64_t send_us);
 /// Encodes header + `encoded_item` into a RESULT frame body.
 std::string EncodeResultFrame(int64_t query_id, uint64_t seq,
                               uint64_t delivery_us, uint64_t send_us,

@@ -515,33 +515,30 @@ Status ServeDaemon::LoopOnce() {
 
   // Only the clients polled above have an fds slot; the ones accepted
   // just now are served from the next iteration on.
-  std::vector<size_t> closed;
   for (size_t i = 0; i + 1 < fds.size(); ++i) {
     ClientState* client = clients_[i].get();
-    short revents = fds[i + 1].revents;
-    if (revents == 0) continue;
-    if ((revents & POLLOUT) != 0) {
-      Status flush = client->conn.FlushSome();
-      if (!flush.ok()) {
-        DetachClient(client, /*unsubscribe=*/true);
-        closed.push_back(i);
-        continue;
-      }
-    }
-    if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      Status handled = HandleReadable(client);
-      if (!handled.ok()) {
-        // A vanished client implicitly unsubscribes everything it was
-        // serving (refcounted stream GC); protocol garbage does too.
-        DetachClient(client, /*unsubscribe=*/true);
-        closed.push_back(i);
-      }
+    if ((fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    if (!HandleReadable(client).ok()) {
+      // A vanished client implicitly unsubscribes everything it was
+      // serving (refcounted stream GC); protocol garbage does too.
+      DetachClient(client, /*unsubscribe=*/true);
+      client->dropped = true;
     }
   }
-  for (auto it = closed.rbegin(); it != closed.rend(); ++it) {
-    clients_.erase(clients_.begin() + static_cast<long>(*it));
+  // The loop's one send point: each client's output queued this
+  // iteration (RESULTs, then the ACK that follows them, all after the
+  // iteration's WAL fsyncs), plus what the socket refused last time,
+  // leaves in one flush. A send error detaches that client alone.
+  for (std::unique_ptr<ClientState>& client : clients_) {
+    if (client->dropped || !client->conn.has_pending_output()) continue;
+    if (!client->conn.FlushSome().ok()) {
+      DetachClient(client.get(), /*unsubscribe=*/true);
+      client->dropped = true;
+    }
   }
-  if (!closed.empty()) {
+  if (std::erase_if(clients_, [](const std::unique_ptr<ClientState>& c) {
+        return c->dropped;
+      }) != 0) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.attached_clients = clients_.size();
   }
@@ -953,10 +950,7 @@ ControlResponse ServeDaemon::DoFeed(const ControlRequest& request) {
   if (!wal_error_.ok()) {
     return ErrorResponse(request.request_id, wal_error_);
   }
-  Status forwarded = ForwardNewResults();
-  if (!forwarded.ok()) {
-    return ErrorResponse(request.request_id, forwarded);
-  }
+  ForwardNewResults();
   FeedReply reply;
   reply.items_fed = items_fed_;
   return OkResponse(request.request_id, EncodeFeedReply(reply));
@@ -983,7 +977,7 @@ ControlResponse ServeDaemon::DoDetach(ClientState* client) {
   return OkResponse(0, std::string());
 }
 
-Status ServeDaemon::ForwardNewResults() {
+void ServeDaemon::ForwardNewResults() {
   // Note the observation tick of every delivery that appeared since the
   // last scan (the "ingress" of the forwarding plane).
   uint64_t now = NowUs();
@@ -996,36 +990,35 @@ Status ServeDaemon::ForwardNewResults() {
       channel.observed_us.push_back(now);
     }
   }
+  // One enqueue tick stamps the whole pass; the frames leave at the
+  // loop iteration's flush.
+  uint64_t send_us = NowUs();
   for (std::unique_ptr<ClientState>& client : clients_) {
     for (auto& [query_id, attachment] : client->subs) {
-      SS_RETURN_IF_ERROR(
-          ForwardTo(client.get(), query_id, &attachment));
+      ForwardTo(client.get(), query_id, &attachment, send_us);
     }
   }
-  return Status::Ok();
 }
 
-Status ServeDaemon::ForwardTo(ClientState* client, int query_id,
-                              Attachment* attachment) {
-  if (!system_->IsActive(query_id)) return Status::Ok();
+void ServeDaemon::ForwardTo(ClientState* client, int query_id,
+                            Attachment* attachment, uint64_t send_us) {
+  if (!system_->IsActive(query_id)) return;
   const engine::SinkOp* sink = system_->registrations()[query_id].sink;
-  if (sink == nullptr) return Status::Ok();
+  if (sink == nullptr) return;
   const std::vector<engine::ItemPtr>& items = sink->items();
   const QueryChannel& channel = channels_[query_id];
   uint64_t forwarded = 0;
-  std::string encoded;
   while (attachment->next_index < items.size()) {
-    uint64_t index = attachment->next_index;
-    encoded.clear();
-    client->encoder.Encode(*items[index], &encoded);
+    uint64_t index = attachment->next_index++;
     uint64_t delivery_us = index < channel.observed_us.size()
                                ? channel.observed_us[index]
-                               : NowUs();
-    std::string body = EncodeResultFrame(query_id, index, delivery_us,
-                                         NowUs(), encoded);
-    SS_RETURN_IF_ERROR(client->conn.QueueFrame(
-        transport::FrameType::kResult, body, transport::kWireVersion));
-    ++attachment->next_index;
+                               : send_us;
+    client->conn.QueueFrameWith(
+        transport::FrameType::kResult, transport::kWireVersion,
+        [&](std::string* out) {
+          AppendResultHeader(out, query_id, index, delivery_us, send_us);
+          client->encoder.Encode(*items[index], out);
+        });
     ++forwarded;
   }
   if (forwarded != 0) {
@@ -1033,7 +1026,6 @@ Status ServeDaemon::ForwardTo(ClientState* client, int query_id,
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.results_forwarded += forwarded;
   }
-  return Status::Ok();
 }
 
 void ServeDaemon::DetachClient(ClientState* client, bool unsubscribe) {
@@ -1093,7 +1085,7 @@ Status ServeDaemon::PerformDrain(bool final_drain) {
     // compaction checkpoint must not resurrect a flushed-and-ended
     // deployment on the next start.
     SS_RETURN_IF_ERROR(system_->Shutdown());
-    SS_RETURN_IF_ERROR(ForwardNewResults());
+    ForwardNewResults();
     if (durable()) {
       wal_.Close();
       std::remove(WalPathOrDefault().c_str());

@@ -157,6 +157,8 @@ class ServeDaemon {
     /// connection (the one that subscribed or re-attached it).
     std::map<int, Attachment> subs;
     uint64_t results_forwarded = 0;
+    /// Detached this loop iteration; removed at its end.
+    bool dropped = false;
   };
 
   /// Per-query forwarding bookkeeping shared across client lives.
@@ -220,10 +222,11 @@ class ServeDaemon {
   ControlResponse DoDetach(ClientState* client);
 
   /// Notes deliveries that appeared at the sinks since the last scan and
-  /// forwards them to the attached clients.
-  Status ForwardNewResults();
-  Status ForwardTo(ClientState* client, int query_id,
-                   Attachment* attachment);
+  /// queues them to the attached clients, encoded straight into each
+  /// client's send buffer; the loop iteration's flush sends them.
+  void ForwardNewResults();
+  void ForwardTo(ClientState* client, int query_id, Attachment* attachment,
+                 uint64_t send_us);
   /// Drops a client's attachments; with `unsubscribe` the queries leave
   /// the system too (refcounted GC) — the implicit-disconnect semantics.
   void DetachClient(ClientState* client, bool unsubscribe);

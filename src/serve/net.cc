@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -39,28 +40,22 @@ FrameConn::FrameConn(int fd, std::string label)
 
 FrameConn::~FrameConn() { Close(); }
 
-FrameConn::FrameConn(FrameConn&& other) noexcept
-    : fd_(other.fd_),
-      label_(std::move(other.label_)),
-      rx_buffer_(std::move(other.rx_buffer_)),
-      tx_buffer_(std::move(other.tx_buffer_)),
-      current_frame_(std::move(other.current_frame_)),
-      bytes_sent_(other.bytes_sent_),
-      bytes_received_(other.bytes_received_) {
-  other.fd_ = -1;
+FrameConn::FrameConn(FrameConn&& other) noexcept {
+  *this = std::move(other);
 }
 
 FrameConn& FrameConn::operator=(FrameConn&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
+    fd_ = std::exchange(other.fd_, -1);
     label_ = std::move(other.label_);
-    rx_buffer_ = std::move(other.rx_buffer_);
-    tx_buffer_ = std::move(other.tx_buffer_);
-    current_frame_ = std::move(other.current_frame_);
+    rx_buffer_ = std::exchange(other.rx_buffer_, std::string());
+    rx_head_ = std::exchange(other.rx_head_, 0);
+    rx_tail_ = std::exchange(other.rx_tail_, 0);
+    tx_buffer_ = std::exchange(other.tx_buffer_, std::string());
+    tx_head_ = std::exchange(other.tx_head_, 0);
     bytes_sent_ = other.bytes_sent_;
     bytes_received_ = other.bytes_received_;
-    other.fd_ = -1;
   }
   return *this;
 }
@@ -75,27 +70,35 @@ void FrameConn::Close() {
 Status FrameConn::QueueFrame(transport::FrameType type,
                              std::string_view body, uint8_t version) {
   if (fd_ < 0) return Status::Unavailable(label_ + ": connection closed");
-  transport::AppendFrame(&tx_buffer_, type, body, version);
-  return FlushSome();
+  QueueFrameWith(type, version,
+                 [body](std::string* out) { out->append(body); });
+  return Status::Ok();
 }
 
 Status FrameConn::FlushSome() {
   if (fd_ < 0) return Status::Unavailable(label_ + ": connection closed");
-  while (!tx_buffer_.empty()) {
+  while (has_pending_output()) {
     // MSG_NOSIGNAL: a vanished peer must surface as a Status, not a
     // process-killing SIGPIPE.
-    ssize_t n = ::send(fd_, tx_buffer_.data(), tx_buffer_.size(),
-                       MSG_NOSIGNAL);
+    ssize_t n = ::send(fd_, tx_buffer_.data() + tx_head_,
+                       tx_buffer_.size() - tx_head_, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::Ok();
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EPIPE || errno == ECONNRESET) {
         return Status::Unavailable(label_ + ": peer closed connection");
       }
       return Errno(label_ + ": send");
     }
     bytes_sent_ += static_cast<uint64_t>(n);
-    tx_buffer_.erase(0, static_cast<size_t>(n));
+    tx_head_ += static_cast<size_t>(n);
+  }
+  if (!has_pending_output()) {
+    tx_buffer_.clear();
+    tx_head_ = 0;
+  } else if (tx_head_ > tx_buffer_.size() / 2) {
+    tx_buffer_.erase(0, tx_head_);
+    tx_head_ = 0;
   }
   return Status::Ok();
 }
@@ -105,7 +108,7 @@ Status FrameConn::FlushAll(int timeout_ms) {
       Clock::now() + std::chrono::milliseconds(timeout_ms);
   while (true) {
     SS_RETURN_IF_ERROR(FlushSome());
-    if (tx_buffer_.empty()) return Status::Ok();
+    if (!has_pending_output()) return Status::Ok();
     auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
     if (left.count() <= 0) {
@@ -121,13 +124,23 @@ Status FrameConn::FlushAll(int timeout_ms) {
 
 Status FrameConn::ReadSome() {
   if (fd_ < 0) return Status::Unavailable(label_ + ": connection closed");
-  char chunk[16384];
+  constexpr size_t kMinRoom = 16384;
   while (true) {
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    size_t live = rx_tail_ - rx_head_;
+    if (live == 0 || rx_head_ > rx_buffer_.size() / 2) {
+      std::memmove(rx_buffer_.data(), rx_buffer_.data() + rx_head_, live);
+      rx_head_ = 0;
+      rx_tail_ = live;
+    }
+    if (rx_buffer_.size() - rx_tail_ < kMinRoom) {
+      rx_buffer_.resize(std::max(2 * rx_buffer_.size(), rx_tail_ + kMinRoom));
+    }
+    size_t room = rx_buffer_.size() - rx_tail_;
+    ssize_t n = ::recv(fd_, rx_buffer_.data() + rx_tail_, room, 0);
     if (n > 0) {
-      rx_buffer_.append(chunk, static_cast<size_t>(n));
+      rx_tail_ += static_cast<size_t>(n);
       bytes_received_ += static_cast<uint64_t>(n);
-      if (static_cast<size_t>(n) < sizeof(chunk)) return Status::Ok();
+      if (static_cast<size_t>(n) < room) return Status::Ok();
       continue;
     }
     if (n == 0) {
@@ -144,22 +157,16 @@ Status FrameConn::ReadSome() {
 
 Result<ConnEvent> FrameConn::TryParse(transport::Frame* frame) {
   size_t consumed = 0;
-  transport::ParseResult parsed =
-      transport::ParseFrame(rx_buffer_, frame, &consumed);
+  transport::ParseResult parsed = transport::ParseFrame(
+      std::string_view(rx_buffer_.data() + rx_head_, rx_tail_ - rx_head_),
+      frame, &consumed);
   switch (parsed) {
     case transport::ParseResult::kFrame:
-    case transport::ParseResult::kUnsupported: {
-      // Move the frame bytes into the scratch buffer so the body view
-      // stays valid after rx_buffer_ shifts.
-      current_frame_.assign(rx_buffer_, 0, consumed);
-      rx_buffer_.erase(0, consumed);
-      size_t body_offset = current_frame_.size() - frame->body.size();
-      frame->body = std::string_view(current_frame_)
-                        .substr(body_offset, frame->body.size());
-      return parsed == transport::ParseResult::kUnsupported
-                 ? ConnEvent::kUnsupported
-                 : ConnEvent::kFrame;
-    }
+      rx_head_ += consumed;
+      return ConnEvent::kFrame;
+    case transport::ParseResult::kUnsupported:
+      rx_head_ += consumed;
+      return ConnEvent::kUnsupported;
     case transport::ParseResult::kNeedMore:
       return ConnEvent::kNeedMore;
     case transport::ParseResult::kMalformed:

@@ -6,6 +6,13 @@
 // and separates buffered non-blocking sends (the daemon's event loop
 // must never block on a slow client) from blocking receives (the
 // client's request/response calls).
+//
+// Sends are batch-shaped: queueing a frame only appends it to the send
+// buffer, and the owner flushes once per batch (the daemon once per loop
+// iteration), so a burst of frames leaves in as few send() calls as the
+// socket accepts. Both buffers are consumed through a head offset and
+// compacted only once the head passes half the buffer, so consuming a
+// frame never moves the bytes behind it.
 
 #ifndef STREAMSHARE_SERVE_NET_H_
 #define STREAMSHARE_SERVE_NET_H_
@@ -41,26 +48,37 @@ class FrameConn {
   int fd() const { return fd_; }
   const std::string& label() const { return label_; }
 
-  /// Appends one frame to the send buffer and attempts to flush without
-  /// blocking. Bytes that do not fit stay buffered; call FlushSome when
-  /// the fd polls writable.
+  /// Appends one frame to the send buffer. Nothing is sent until
+  /// FlushSome or FlushAll. Unavailable once the connection is closed.
   Status QueueFrame(transport::FrameType type, std::string_view body,
                     uint8_t version = transport::kBaseWireVersion);
+
+  /// Appends one frame whose body `write_body(std::string*)` appends
+  /// straight into the send buffer, with no intermediate body string.
+  /// Like QueueFrame, it sends nothing.
+  template <typename WriteBody>
+  void QueueFrameWith(transport::FrameType type, uint8_t version,
+                      WriteBody&& write_body) {
+    size_t start = transport::BeginFrame(&tx_buffer_);
+    write_body(&tx_buffer_);
+    transport::FinishFrame(&tx_buffer_, start, type, version);
+  }
 
   /// Writes as much buffered output as the socket accepts right now.
   Status FlushSome();
   /// Blocks until the send buffer is empty (or `timeout_ms` passes).
   Status FlushAll(int timeout_ms);
-  bool has_pending_output() const { return !tx_buffer_.empty(); }
+  bool has_pending_output() const { return tx_head_ < tx_buffer_.size(); }
 
-  /// Appends freshly received bytes to the parse buffer. Returns
-  /// Unavailable on orderly peer close (EOF), Ok when bytes were read or
-  /// the read would block.
+  /// Receives what the socket holds straight into the tail of the parse
+  /// buffer. Returns Unavailable on orderly peer close (EOF), Ok when
+  /// bytes were read or the read would block.
   Status ReadSome();
 
   /// Parses the next frame out of the receive buffer. On kFrame and
-  /// kUnsupported, `frame` is filled (body aliases an internal buffer
-  /// valid until the next TryParse/Recv call) and the bytes consumed.
+  /// kUnsupported, `frame` is filled and the bytes consumed; its body
+  /// aliases the receive buffer and stays valid until the next ReadSome
+  /// or RecvFrame call (parsing never moves buffered bytes).
   Result<ConnEvent> TryParse(transport::Frame* frame);
 
   /// Blocking receive of the next frame (kUnsupported surfaces as a
@@ -75,11 +93,14 @@ class FrameConn {
  private:
   int fd_ = -1;
   std::string label_;
+  /// Received bytes not yet parsed are [rx_head_, rx_tail_); the rest of
+  /// rx_buffer_ is room for the next receive.
   std::string rx_buffer_;
+  size_t rx_head_ = 0;
+  size_t rx_tail_ = 0;
+  /// Queued bytes not yet sent are [tx_head_, tx_buffer_.size()).
   std::string tx_buffer_;
-  /// Scratch holding the bytes of the frame most recently returned by
-  /// TryParse, so its body stays valid after rx_buffer_ shifts.
-  std::string current_frame_;
+  size_t tx_head_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
 };

@@ -45,6 +45,22 @@ void AppendFrame(std::string* out, FrameType type, std::string_view body,
   out->append(body);
 }
 
+size_t BeginFrame(std::string* out) {
+  size_t start = out->size();
+  out->append(3, '\0');  // one-byte length prefix, version, type
+  return start;
+}
+
+void FinishFrame(std::string* out, size_t start, FrameType type,
+                 uint8_t version) {
+  std::string prefix;
+  PutVarint(&prefix, out->size() - start - 1);  // version + type + body
+  if (prefix.size() > 1) out->insert(start + 1, prefix.size() - 1, '\0');
+  out->replace(start, prefix.size(), prefix);
+  (*out)[start + prefix.size()] = static_cast<char>(version);
+  (*out)[start + prefix.size() + 1] = static_cast<char>(type);
+}
+
 ParseResult ParseFrame(std::string_view buffer, Frame* frame,
                        size_t* consumed) {
   std::string_view rest = buffer;

@@ -86,6 +86,14 @@ bool GetVarint(std::string_view* data, uint64_t* value);
 void AppendFrame(std::string* out, FrameType type, std::string_view body,
                  uint8_t version = kBaseWireVersion);
 
+/// Encodes a frame in place: BeginFrame reserves the header at the end
+/// of *out and returns its offset, the caller appends the body, and
+/// FinishFrame writes the header. The bytes equal AppendFrame's; a body
+/// of 126 bytes or more (a longer length prefix) moves once.
+size_t BeginFrame(std::string* out);
+void FinishFrame(std::string* out, size_t start, FrameType type,
+                 uint8_t version = kBaseWireVersion);
+
 /// One parsed frame; `body` aliases the parse buffer. On kUnsupported,
 /// `raw_type` and `version` hold the peer's bytes verbatim (`type` is
 /// meaningless) so a receiver can name what it is rejecting.

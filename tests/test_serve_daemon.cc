@@ -2,7 +2,10 @@
 // through the real planner, delivery forwarding, double-unsubscribe
 // NotFound semantics, E6 admission rejection leaving the deployment
 // untouched, detach/re-attach catch-up, implicit unsubscribe on
-// disconnect, and the unsupported-frame answer path.
+// disconnect (and on a send error to a reset client), and the
+// unsupported-frame answer path.
+
+#include <sys/socket.h>
 
 #include <cstdio>
 #include <memory>
@@ -261,6 +264,97 @@ TEST(ServeDaemon, DisconnectImplicitlyUnsubscribes) {
 
   daemon->RequestDrain(/*final_drain=*/true);
   daemon->Join();
+}
+
+/// Reads frames until the next CONTROL ACK, skipping RESULT frames.
+Result<ControlResponse> RawAck(FrameConn* conn) {
+  while (true) {
+    transport::Frame frame;
+    SS_ASSIGN_OR_RETURN(ConnEvent event, conn->RecvFrame(&frame, 10000));
+    if (event == ConnEvent::kFrame &&
+        frame.type == transport::FrameType::kControlAck) {
+      return DecodeResponse(frame.body);
+    }
+  }
+}
+
+/// Sends one request over a raw connection without waiting for its ACK.
+Status RawSend(FrameConn* conn, const ControlRequest& request) {
+  SS_RETURN_IF_ERROR(conn->QueueFrame(transport::FrameType::kControl,
+                                      EncodeRequest(request)));
+  return conn->FlushAll(5000);
+}
+
+Result<ControlResponse> RawCall(FrameConn* conn,
+                                const ControlRequest& request) {
+  SS_RETURN_IF_ERROR(RawSend(conn, request));
+  SS_ASSIGN_OR_RETURN(ControlResponse response, RawAck(conn));
+  SS_RETURN_IF_ERROR(ResponseStatus(response));
+  return response;
+}
+
+TEST(ServeDaemon, ResetClientIsDetachedWithoutFailingOthers) {
+  // A client that resets while the daemon still forwards to it costs
+  // only its own attachments: the send error detaches it (implicit
+  // unsubscribe), and neither another client's Feed ACK nor the final
+  // drain sees the error. Connection order puts both feeders ahead of
+  // the doomed client in the loop, so whenever a Feed and the reset are
+  // read in one poll, the Feed forwards to the reset socket first.
+  workload::ScenarioSpec scenario = SmallScenario();
+  auto daemon = StartDaemon(scenario);
+  ASSERT_NE(daemon, nullptr);
+  ServeClient feeder = MakeClient(*daemon, "feeder");
+  ASSERT_TRUE(feeder.Connect().ok());
+  auto busy = ConnectTcp("127.0.0.1", daemon->port(), 5000);
+  auto doomed = ConnectTcp("127.0.0.1", daemon->port(), 5000);
+  ASSERT_TRUE(busy.ok() && doomed.ok());
+  ControlRequest hello;
+  hello.verb = Verb::kHello;
+  ASSERT_TRUE(RawCall(&*busy, hello).ok());
+  ASSERT_TRUE(RawCall(&*doomed, hello).ok());
+
+  std::vector<int64_t> doomed_queries;
+  for (int index : {0, 2}) {  // a plain query and a windowed aggregate
+    ControlRequest subscribe;
+    subscribe.verb = Verb::kSubscribe;
+    subscribe.query_text = scenario.queries[index].text;
+    subscribe.vq = scenario.queries[index].target;
+    auto response = RawCall(&*doomed, subscribe);
+    ASSERT_TRUE(response.ok()) << response.status();
+    auto reply = DecodeSubscribeReply(response->payload);
+    ASSERT_TRUE(reply.ok() && reply->accepted);
+    doomed_queries.push_back(reply->query_id);
+  }
+
+  // The loop is busy with this Feed, whose RESULTs are queued for the
+  // doomed client, while the reset and the next Feed arrive.
+  ControlRequest feed;
+  feed.verb = Verb::kFeed;
+  feed.feed_items = 400;
+  ASSERT_TRUE(RawSend(&*busy, feed).ok());
+  struct linger reset = {1, 0};
+  ASSERT_EQ(::setsockopt(doomed->fd(), SOL_SOCKET, SO_LINGER, &reset,
+                         sizeof(reset)),
+            0);
+  doomed->Close();
+
+  auto fed = feeder.Feed(50);
+  ASSERT_TRUE(fed.ok()) << fed.status();
+  auto busy_ack = RawAck(&*busy);
+  ASSERT_TRUE(busy_ack.ok()) << busy_ack.status();
+  EXPECT_TRUE(ResponseStatus(*busy_ack).ok()) << ResponseStatus(*busy_ack);
+
+  auto stats = feeder.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->items_fed, 450u);
+  for (int64_t query_id : doomed_queries) {
+    EXPECT_FALSE(stats->queries[query_id].active) << "query " << query_id;
+  }
+  EXPECT_EQ(daemon->stats().unsubscribed, doomed_queries.size());
+
+  daemon->RequestDrain(/*final_drain=*/true);
+  daemon->Join();
+  EXPECT_TRUE(daemon->loop_status().ok()) << daemon->loop_status();
 }
 
 TEST(ServeDaemon, UnsupportedFrameGetsDecodableAnswerNotTeardown) {
